@@ -200,9 +200,3 @@ def cayley_hamilton_check(mat: Matrix) -> Matrix:
     bug witness for callers that want to abort.
     """
     return char_poly(mat).evaluate_matrix(mat)
-
-
-def assert_cayley_hamilton(mat: Matrix):
-    witness = cayley_hamilton_check(mat)
-    if not witness.is_zero:
-        raise InternalCheckError(f"Cayley-Hamilton evaluation is nonzero: {witness}")

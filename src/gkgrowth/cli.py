@@ -22,8 +22,9 @@ consistency failure (a bug, never a property of the input).
 
 The same document and configuration always produce byte-identical
 output; the optional cache (``--cache-dir``) stores the rendered output
-keyed by a content hash of (command, document, configuration) and replays
-it verbatim.
+keyed by a content hash of (gkgrowth version, cache schema, command,
+document, configuration) and replays it verbatim.  Entries are written to
+a temporary file and renamed into place.
 """
 
 from __future__ import annotations
@@ -31,11 +32,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+from . import __version__
 from ._ratio import ratio_str
 from .algebras import AlgebraPresentation, growth_sequence
 from .charpoly import cayley_hamilton_check
@@ -59,6 +63,9 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_NOT_SPLIT = 4
 EXIT_INTERNAL = 5
+
+# Bump when the rendering of any cached output changes without a version bump.
+CACHE_SCHEMA = 1
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +235,7 @@ def _emit(text: str, config: RunConfig):
 
 def _cache_key(command: str, payloads: Sequence[bytes], config: RunConfig) -> str:
     digest = hashlib.sha256()
+    digest.update(f"gkgrowth {__version__} cache {CACHE_SCHEMA}\x00".encode())
     digest.update(command.encode())
     digest.update(config.canonical().encode())
     for payload in payloads:
@@ -247,7 +255,16 @@ def _with_cache(command: str, payloads: Sequence[bytes], config: RunConfig, comp
         _emit(entry.read_text(encoding="utf-8"), config)
         return
     text = compute()
-    entry.write_text(text, encoding="utf-8")
+    # Write a temporary file beside the entry and rename it into place, so
+    # an interrupted write never leaves a partial entry to be replayed.
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, entry)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     _emit(text, config)
 
 

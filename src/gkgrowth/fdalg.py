@@ -3,12 +3,23 @@
 Algebras arrive as matrix presentations whose span closes up; they are
 re-encoded as structure constants over QQ and all the structure theory
 (radical, nilpotence degree, central primitive idempotents, complement)
-runs on that abstract encoding.  The radical is the kernel of the trace
-form of the left regular representation, which is exactly the radical in
-characteristic zero.  Semisimple quotients must split over QQ: a
-quotient that does not (an irrational-eigenvalue center, a division
-algebra block) raises NotSplitOverBaseError instead of silently
-extending the base field.
+runs on that abstract encoding.  The closed span's basis is in reduced
+row-echelon form, so the coordinates of each product b_i*b_j are read at
+the basis's pivot keys, and a residual check proves the product lies in
+the span.
+
+The radical is the kernel of the trace form Tr(L_a L_b) of the left
+regular representation, which is exactly the radical in characteristic
+zero.  Its Gram matrix comes from the structure constants by Dickson's
+identity Tr(L_a L_b) = Tr(L_{ab}) (Cohen, Ivanyos and Wales, JPAA 1997),
+in O(dim^3).  Central primitive idempotents come from refining the unit
+by the spectral projectors of each center basis element, with no random
+search.  Semisimple quotients must split over QQ: a quotient that does
+not (an irrational-eigenvalue center, a division algebra block) raises
+NotSplitOverBaseError instead of silently extending the base field.
+
+Every kernel, solve and coordinate computation runs on the one exact
+elimination engine, ``EchelonBasis``.
 
 Presentations over QQ(x) are closed under the scalar field first; if the
 resulting structure constants are all rational, the computation proceeds
@@ -39,10 +50,11 @@ from .poly import Poly, PolyRing, RatFuncField, uni_divmod, uni_gcd
 from .spans import (
     EXTENDED,
     EchelonBasis,
-    _gauss_solve,
     field_coordinates,
     matrix_from_vec,
+    matrix_to_field_vec,
     matrix_to_vec,
+    vec_matrix_product,
 )
 
 _T_RING = PolyRing(("t",))
@@ -81,39 +93,12 @@ def _coord_span(vectors: Sequence[tuple]):
     return basis, reps
 
 
-def _kernel(rows: Sequence[Sequence]) -> list:
-    """Canonical basis of the kernel of a QQ matrix (rows act on vectors)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    work = [[as_ratio(v) for v in row] for row in rows]
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][c]
-        work[r] = [v / inv for v in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    pivot_cols = {c for _, c in pivots}
-    kernel = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [ZERO] * ncols
-        vec[free] = QQ(1)
-        for row_idx, col in pivots:
-            vec[col] = -work[row_idx][free]
-        kernel.append(tuple(vec))
-    return kernel
+def _null_space(rows: Sequence[Sequence], ncols: int) -> list:
+    """Canonical kernel basis of a QQ matrix given by its rows."""
+    basis = EchelonBasis()
+    for row in rows:
+        basis.insert(_vec_to_dict(row))
+    return basis.kernel([(i,) for i in range(ncols)])
 
 
 # ---------------------------------------------------------------------------
@@ -146,31 +131,13 @@ class StructureAlgebra:
     def basis_vector(self, i: int) -> tuple:
         return tuple(QQ(1) if k == i else ZERO for k in range(self.dim))
 
-    def lmul_matrix(self, u: tuple) -> list:
-        """Rows of the left-multiplication operator of u."""
-        cols = [self.mul(u, self.basis_vector(j)) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-
-    def power(self, u: tuple, n: int) -> tuple:
-        result = self.unit
-        base = u
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            n >>= 1
-            if n:
-                base = self.mul(base, base)
-        return result
-
     def min_poly(self, u: tuple, unit: Optional[tuple] = None) -> Poly:
         """Monic minimal polynomial of u (over a custom unit if given)."""
         one = self.unit if unit is None else unit
         powers = [one]
         while True:
             nxt = self.mul(powers[-1], u)
-            sol = _gauss_solve(
-                [_vec_to_dict(p) for p in powers], _vec_to_dict(nxt), ZERO, QQ(1)
-            )
+            sol = EchelonBasis.solve([_vec_to_dict(p) for p in powers], _vec_to_dict(nxt))
             if sol is not None:
                 coeffs = [-c for c in sol] + [QQ(1)]
                 return Poly.from_uni_coeffs(_T_RING, coeffs)
@@ -214,11 +181,7 @@ class FiniteDimAlgebra:
         return self.presentation.size
 
     def from_coords(self, coords: Sequence) -> Matrix:
-        out = Matrix.zeros(self.ring, self.size, self.size)
-        for c, b in zip(coords, self.basis):
-            if c:
-                out = out + b.scale(c)
-        return out
+        return _combine(self.ring, self.size, coords, self.basis)
 
     def coords_of(self, mat: Matrix) -> list:
         """Scalar-field coordinates of ``mat`` in the stored basis."""
@@ -226,6 +189,20 @@ class FiniteDimAlgebra:
         if coords is None:
             raise ValueError("matrix does not lie in the algebra's scalar span")
         return coords
+
+
+def _combine(ring, size: int, coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
+    """sum c * m over the nonzero coefficients, accumulated entry by entry."""
+    rows = [[ring.zero] * size for _ in range(size)]
+    for c, m in zip(coeffs, mats):
+        if not c:
+            continue
+        c = ring.coerce(c)
+        for acc, row in zip(rows, m.rows):
+            for j, e in enumerate(row):
+                if e:
+                    acc[j] = acc[j] + e * c
+    return Matrix(ring, rows)
 
 
 def close_to_fdalg(
@@ -253,34 +230,29 @@ def close_to_fdalg(
     basis = tuple(
         matrix_from_vec(pres.ring, (pres.size, pres.size), row) for row in snapshot.rows
     )
-    columns = [matrix_to_vec(b) for b in basis]
-    struct_rows = []
-    for bi in basis:
-        row = []
-        for bj in basis:
-            sol = _gauss_solve(columns, matrix_to_vec(bi * bj), ZERO, QQ(1))
-            if sol is None:
-                raise InternalCheckError("closed span is not closed under products")
-            row.append(tuple(sol))
-        struct_rows.append(tuple(row))
-    unit = _gauss_solve(columns, matrix_to_vec(pres.identity), ZERO, QQ(1))
+
+    # The basis is in reduced row-echelon form: coordinates are read at its
+    # pivot keys, and a residual check proves membership.
+    def coords(vec: dict) -> tuple:
+        sol = snapshot.coordinates(vec)
+        if sol is None:
+            raise InternalCheckError("closed span is not closed under products")
+        return tuple(sol)
+
+    rows = snapshot.rows
+    struct_rows = tuple(tuple(coords(vec_matrix_product(a, b)) for b in rows) for a in rows)
+    unit = snapshot.coordinates(matrix_to_vec(pres.identity))
     if unit is None:
         raise InternalCheckError("identity missing from a unital span closure")
-    core = StructureAlgebra(len(basis), tuple(struct_rows), tuple(unit))
+    core = StructureAlgebra(len(basis), struct_rows, tuple(unit))
     return FiniteDimAlgebra(core, basis, pres)
-
-
-def _mat_to_field_vec(mat: Matrix) -> dict:
-    return {
-        (i, j): e for i, row in enumerate(mat.rows) for j, e in enumerate(row) if e
-    }
 
 
 def _close_scalar_field(pres: AlgebraPresentation) -> FiniteDimAlgebra:
     ring = pres.ring
     ident = pres.identity
     basis_span = EchelonBasis()
-    basis_span.insert(_mat_to_field_vec(ident))
+    basis_span.insert(matrix_to_field_vec(ident))
     reps = [ident]
     frontier = [ident]
     while frontier:
@@ -291,12 +263,12 @@ def _close_scalar_field(pres: AlgebraPresentation) -> FiniteDimAlgebra:
         for mat in products:
             if mat.is_zero:
                 continue
-            if basis_span.insert(_mat_to_field_vec(mat)) == EXTENDED:
+            if basis_span.insert(matrix_to_field_vec(mat)) == EXTENDED:
                 frontier.append(mat)
         reps.extend(frontier)
-    rows = basis_span.rows()
+    snapshot = basis_span.snapshot()
     basis = []
-    for row in rows:
+    for row in snapshot.rows:
         out = Matrix.zeros(ring, pres.size, pres.size)
         for (i, j), value in row.items():
             out = out + Matrix.elementary(ring, pres.size, i, j, value)
@@ -304,7 +276,7 @@ def _close_scalar_field(pres: AlgebraPresentation) -> FiniteDimAlgebra:
     basis = tuple(basis)
 
     def rational_coords(mat: Matrix) -> tuple:
-        coords = field_coordinates(basis, mat)
+        coords = snapshot.coordinates(matrix_to_field_vec(mat), ring.one)
         if coords is None:
             raise InternalCheckError("scalar-field closure is not closed under products")
         rational = []
@@ -330,24 +302,28 @@ def _close_scalar_field(pres: AlgebraPresentation) -> FiniteDimAlgebra:
 # radical
 
 
+def _trace_form(core: StructureAlgebra) -> list:
+    """Gram matrix Tr(L_{b_i} L_{b_j}) of the regular trace form.
+
+    Dickson's identity Tr(L_a L_b) = Tr(L_{ab}) turns it into t . (b_i b_j)
+    with t_k = Tr(L_{b_k}) = sum_j c_{kj}^j, which costs O(dim^3) instead
+    of building every L_{b_i} for O(dim^4).
+    """
+    n = core.dim
+    trace = [sum((core.table[k][j][j] for j in range(n)), ZERO) for k in range(n)]
+    return [
+        [sum((c * t for c, t in zip(core.table[i][j], trace) if c), ZERO) for j in range(n)]
+        for i in range(n)
+    ]
+
+
 def radical_coords(core: StructureAlgebra) -> list:
     """Canonical kernel basis of the regular trace form; equals the radical.
 
     Verified on every call: the result is a two-sided ideal and is
     nilpotent, otherwise InternalCheckError is raised.
     """
-    lmuls = [core.lmul_matrix(core.basis_vector(i)) for i in range(core.dim)]
-    gram = [
-        [
-            sum(
-                (lmuls[i][k][l] * lmuls[j][l][k] for k in range(core.dim) for l in range(core.dim)),
-                ZERO,
-            )
-            for j in range(core.dim)
-        ]
-        for i in range(core.dim)
-    ]
-    kernel = _kernel(gram)
+    kernel = _null_space(_trace_form(core), core.dim)
     _verify_radical(core, kernel)
     return kernel
 
@@ -405,20 +381,11 @@ def quotient_by_ideal(core: StructureAlgebra, ideal: Sequence[tuple]):
             out[free_positions[idx]] = value
         return tuple(out)
 
-    dim_bar = len(free_positions)
-    table = tuple(
-        tuple(
-            project(core.mul(section_i, section(_unit_tuple(dim_bar, j))))
-            for j in range(dim_bar)
-        )
-        for section_i in (section(_unit_tuple(dim_bar, i)) for i in range(dim_bar))
-    )
-    bar = StructureAlgebra(dim_bar, table, project(core.unit))
+    # The section of the j-th quotient basis vector is a core basis vector.
+    lifts = [core.basis_vector(pos) for pos in free_positions]
+    table = tuple(tuple(project(core.mul(a, b)) for b in lifts) for a in lifts)
+    bar = StructureAlgebra(len(free_positions), table, project(core.unit))
     return bar, project, section
-
-
-def _unit_tuple(dim: int, i: int) -> tuple:
-    return tuple(QQ(1) if k == i else ZERO for k in range(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -494,53 +461,47 @@ def _uni_ext_gcd(a: Poly, b: Poly):
 # central primitive idempotents (semisimple input)
 
 
-def central_primitive_idempotents_coords(
-    core: StructureAlgebra, *, seed: int = 0, attempts: int = 12
-) -> list:
+def central_primitive_idempotents_coords(core: StructureAlgebra) -> list:
     """Coordinates of the central primitive idempotents of a split
-    semisimple algebra, via the spectral idempotents of a separating
-    central element with a squarefree, fully rational minimal polynomial.
+    semisimple algebra.
+
+    The unit is refined by the spectral projectors of each center basis
+    element z in turn: inside each current idempotent e, z*e has a
+    squarefree minimal polynomial (the center is semisimple) whose roots
+    split e.  Afterwards every center element is a scalar on each
+    idempotent, so the family is primitive.  No search is involved:
+    NotSplitOverBaseError is raised only when some minimal polynomial has
+    an irreducible factor of degree 2 or more.
     """
-    lmuls_kernel = radical_coords(core)
-    if lmuls_kernel:
+    if radical_coords(core):
         raise ValueError("central_primitive_idempotents expects a semisimple algebra")
     center = _center_coords(core)
     if len(center) == 1:
         return [core.unit]
-    rng = random.Random(seed)
-    candidates = list(center)
-    for _ in range(attempts):
-        candidates.append(
-            tuple(
-                sum((QQ(rng.randint(-5, 5)) * z[k] for z in center), ZERO)
-                for k in range(core.dim)
-            )
-        )
-    last_failure = "no separating central element found"
-    for u in candidates:
-        mu = core.min_poly(u)
-        if mu.degree() != len(center):
-            continue
-        if uni_gcd(mu, mu.derivative()).degree() != 0:
-            raise InternalCheckError("center element has a non-squarefree minimal polynomial")
-        roots = rational_roots(mu)
-        if len(roots) != mu.degree():
-            raise NotSplitOverBaseError(
-                "the center's minimal polynomial has an irrational root; "
-                "the semisimple quotient does not split over QQ"
-            )
-        idems = []
-        for r in roots:
-            value = core.unit
-            for s in roots:
-                if s == r:
-                    continue
-                shifted = _vec_sub(u, _vec_scale(core.unit, s))
-                value = _vec_scale(core.mul(value, shifted), QQ(1) / (r - s))
-            idems.append(value)
-        _verify_idempotent_family(core, idems, center)
-        return sorted(idems)
-    raise NotSplitOverBaseError(last_failure)
+    idems = [core.unit]
+    for z in center:
+        refined = []
+        for e in idems:
+            u = core.mul(z, e)
+            mu = core.min_poly(u, unit=e)
+            if uni_gcd(mu, mu.derivative()).degree() != 0:
+                raise InternalCheckError("center element has a non-squarefree minimal polynomial")
+            roots = rational_roots(mu)
+            if len(roots) != mu.degree():
+                raise NotSplitOverBaseError(
+                    "the center's minimal polynomial has an irrational root; "
+                    "the semisimple quotient does not split over QQ"
+                )
+            for r in roots:
+                value = e
+                for s in roots:
+                    if s != r:
+                        shifted = _vec_sub(u, _vec_scale(e, s))
+                        value = _vec_scale(core.mul(value, shifted), QQ(1) / (r - s))
+                refined.append(value)
+        idems = refined
+    _verify_idempotent_family(core, idems, center)
+    return sorted(idems)
 
 
 def _center_coords(core: StructureAlgebra) -> list:
@@ -551,7 +512,7 @@ def _center_coords(core: StructureAlgebra) -> list:
             rows.append(
                 [core.table[i][j][k] - core.table[j][i][k] for i in range(core.dim)]
             )
-    return _kernel(rows)
+    return _null_space(rows, core.dim)
 
 
 def _verify_idempotent_family(core: StructureAlgebra, idems: Sequence[tuple], center):
@@ -671,11 +632,8 @@ def _matrix_units(core: StructureAlgebra, prims: Sequence[tuple]) -> dict:
             if not _vec_is_zero(candidate):
                 y_space.append(candidate)
         _, y_reps = _coord_span(y_space)
-        sol = _gauss_solve(
-            [_vec_to_dict(core.mul(x, yr)) for yr in y_reps],
-            _vec_to_dict(f0),
-            ZERO,
-            QQ(1),
+        sol = EchelonBasis.solve(
+            [_vec_to_dict(core.mul(x, yr)) for yr in y_reps], _vec_to_dict(f0)
         )
         if sol is None:
             raise InternalCheckError("matrix-unit equation x*y = e has no solution")
@@ -741,7 +699,7 @@ def wedderburn_complement(algebra: FiniteDimAlgebra, *, seed: int = 0) -> Wedder
     rad = radical_coords(core)
     degree = nilpotence_degree_coords(core, rad)
     bar, project, section = quotient_by_ideal(core, rad)
-    central_bar = central_primitive_idempotents_coords(bar, seed=seed)
+    central_bar = central_primitive_idempotents_coords(bar)
     blocks_bar = [
         ( _primitive_idempotents(bar, e_bar, seed=seed), e_bar )
         for e_bar in central_bar
@@ -882,9 +840,9 @@ def _require_rational(value):
     raise RingMismatchError("expected a rational coordinate")
 
 
-def central_primitive_idempotents(algebra: FiniteDimAlgebra, *, seed: int = 0) -> list:
+def central_primitive_idempotents(algebra: FiniteDimAlgebra) -> list:
     """Central primitive idempotents of a semisimple algebra, as matrices."""
-    coords = central_primitive_idempotents_coords(algebra.core, seed=seed)
+    coords = central_primitive_idempotents_coords(algebra.core)
     return [algebra.from_coords(v) for v in coords]
 
 
@@ -895,12 +853,12 @@ def decompose_element(
     coords = algebra.coords_of(mat)
     ring = algebra.ring
     if isinstance(ring, RatFuncField):
-        zero, one = ring.zero, ring.one
+        one = ring.one
 
         def lift(vec):
             return {(i,): ring.coerce(c) for i, c in enumerate(vec) if c}
     else:
-        zero, one = ZERO, QQ(1)
+        one = QQ(1)
 
         def lift(vec):
             return _vec_to_dict(vec)
@@ -909,18 +867,12 @@ def decompose_element(
         lift(v) for v in data.radical_coords
     ]
     target = {(i,): c for i, c in enumerate(coords) if c}
-    sol = _gauss_solve(columns, target, zero, one)
+    sol = EchelonBasis.solve(columns, target, one)
     if sol is None:
         raise InternalCheckError("decomposition solve failed inside the algebra")
     ncomp = len(data.complement_coords)
-    bar = Matrix.zeros(ring, algebra.size, algebra.size)
-    for c, b in zip(sol[:ncomp], data.complement_basis):
-        if c:
-            bar = bar + b.scale(c)
-    nil = Matrix.zeros(ring, algebra.size, algebra.size)
-    for c, b in zip(sol[ncomp:], data.radical_basis):
-        if c:
-            nil = nil + b.scale(c)
+    bar = _combine(ring, algebra.size, sol[:ncomp], data.complement_basis)
+    nil = _combine(ring, algebra.size, sol[ncomp:], data.radical_basis)
     if bar + nil != mat:
         raise InternalCheckError("decomposition parts do not sum back to the element")
     return bar, nil

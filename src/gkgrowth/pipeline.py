@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from itertools import product as iter_product
 from typing import Optional, Sequence
 
-from ._ratio import QQ, ZERO
+from ._ratio import QQ
 from .algebras import AlgebraPresentation, GrowthTable, growth_sequence
 from .charpoly import char_poly
 from .errors import CapExceededError, InputError
@@ -189,8 +189,6 @@ def _q_kernel_matrices(candidates: Sequence[Matrix], constraints) -> list:
     ``constraints(mat)`` yields one matrix per constraint; the kernel of
     the stacked coordinate system is returned as canonical combinations.
     """
-    from .fdalg import _kernel  # canonical kernel helper
-
     stacked = []
     for c in candidates:
         stacked.extend(constraints(c))
@@ -199,18 +197,15 @@ def _q_kernel_matrices(candidates: Sequence[Matrix], constraints) -> list:
         vecs = cleared_vecs(stacked)
     else:
         vecs = [matrix_to_vec(m) for m in stacked]
-    tagged = []
+    rows = {}  # one row per (constraint slot, coordinate key), over the candidates
     for idx in range(len(candidates)):
-        merged = {}
         for slot in range(per_candidate):
             for k, v in vecs[idx * per_candidate + slot].items():
-                merged[(slot,) + k] = v
-        tagged.append(merged)
-    keys = sorted(set().union(*tagged)) if tagged else []
-    rows = [[t.get(k, ZERO) for t in tagged] for k in keys]
-    if not rows:
-        rows = [[ZERO] * len(candidates)]
-    kernel = _kernel(rows)
+                rows.setdefault((slot,) + k, {})[(idx,)] = v
+    system = EchelonBasis()
+    for row in rows.values():
+        system.insert(row)
+    kernel = system.kernel([(idx,) for idx in range(len(candidates))])
     combos = []
     for coeffs in kernel:
         total = Matrix.zeros(candidates[0].ring, candidates[0].nrows, candidates[0].ncols)

@@ -17,10 +17,10 @@ are replaced wholesale on re-reduction), so snapshots may share rows.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ._ratio import QQ, as_ratio
-from .errors import ShapeMismatchError
+from .errors import InternalCheckError, ShapeMismatchError
 from .matrices import Matrix
 from .poly import (
     Poly,
@@ -56,6 +56,11 @@ def matrix_to_vec(mat: Matrix) -> dict:
     raise TypeError(f"no fixed coordinate system for matrices over {ring}")
 
 
+def matrix_to_field_vec(mat: Matrix) -> dict:
+    """Scalar-field coordinates of a matrix: its nonzero entries by (row, col)."""
+    return {(i, j): e for i, row in enumerate(mat.rows) for j, e in enumerate(row) if e}
+
+
 def poly_to_vec(p: Poly) -> dict:
     """QQ-coordinates of a ring element, keyed like a 1x1 matrix."""
     return {(0, 0, sum(m), m): c for m, c in p.items_unordered()}
@@ -82,15 +87,6 @@ def cleared_vecs(mats: Sequence[Matrix]) -> list:
                     vec[(i, j, mono[0], mono)] = c
         out.append(vec)
     return out
-
-
-def any_matrix_to_vecs(mats: Sequence[Matrix]) -> list:
-    """Joint QQ-coordinates for a family of matrices over any ring kind."""
-    if not mats:
-        return []
-    if isinstance(mats[0].ring, RatFuncField):
-        return cleared_vecs(mats)
-    return [matrix_to_vec(m) for m in mats]
 
 
 def vec_sort_key(vec: dict) -> tuple:
@@ -192,6 +188,89 @@ class EchelonBasis:
     def snapshot(self) -> "SpanSnapshot":
         return SpanSnapshot(tuple(self.rows()))
 
+    def coordinates(self, vec: dict, one=QQ(1)) -> Optional[list]:
+        """Coordinates of ``vec`` on ``rows()``, or None outside the span."""
+        return _pivot_coordinates(self._pivot_rows, vec, one)
+
+    def kernel(self, keys: Sequence, one=QQ(1)) -> list:
+        """Canonical basis of the null space of the stored rows.
+
+        The rows are read as a matrix whose columns are ``keys``, in
+        increasing order.  Each free (non-pivot) key f gives one vector:
+        1 at f and minus the f-entry of each row at that row's pivot key.
+        Vectors are tuples ordered like ``keys``; each is checked to be
+        annihilated by every row.
+        """
+        zero = one - one
+        position = {k: i for i, k in enumerate(keys)}
+        out = []
+        for free in keys:
+            if free in self._pivot_rows:
+                continue
+            vec = [zero] * len(keys)
+            vec[position[free]] = one
+            for lead in self._occur.get(free, ()):
+                vec[position[lead]] = -self._pivot_rows[lead][free]
+            out.append(tuple(vec))
+        for vec in out:
+            for row in self._pivot_rows.values():
+                if sum((c * vec[position[k]] for k, c in row.items()), zero):
+                    raise InternalCheckError("kernel vector is not annihilated by a row")
+        return out
+
+    @classmethod
+    def solve(cls, columns: Sequence[dict], target: dict, one=QQ(1)) -> Optional[list]:
+        """Solve sum_i x_i * columns[i] = target exactly; None if inconsistent.
+
+        The rows of [columns | target], one per key, go into an echelon
+        basis.  Its pivots are the columns independent of the earlier ones;
+        x_p is the target entry of the row led by p, and every other x_i
+        is zero.  The system is inconsistent exactly when the target column
+        is a pivot.  The solution is verified by substitution.
+        """
+        n = len(columns)
+        rows = {}
+        for i, col in enumerate(columns):
+            for k, v in col.items():
+                rows.setdefault(k, {})[i] = v
+        for k, v in target.items():
+            rows.setdefault(k, {})[n] = v
+        basis = cls()
+        for row in rows.values():
+            basis.insert(row)
+        if n in basis._pivot_rows:
+            return None
+        zero = one - one
+        solution = [zero] * n
+        for i in range(n):
+            row = basis._pivot_rows.get(i)
+            if row is not None:
+                solution[i] = row.get(n, zero)
+        check = dict(target)
+        for x, col in zip(solution, columns):
+            if x:
+                _axpy_inplace(check, x, col)
+        if check:
+            raise InternalCheckError("linear solve failed its substitution check")
+        return solution
+
+
+def _pivot_coordinates(pivot_rows: dict, vec: dict, one) -> Optional[list]:
+    """Coordinates of ``vec`` on reduced-echelon rows (by leading key), or None.
+
+    A member of the span carries, at each row's pivot key, its coefficient
+    on that row, since no other row touches that key.  The residual
+    ``vec - sum c_r * row_r`` proves membership.
+    """
+    zero = one - one
+    leads = sorted(pivot_rows)
+    coords = [vec.get(k, zero) for k in leads]
+    residual = dict(vec)
+    for c, k in zip(coords, leads):
+        if c:
+            _axpy_inplace(residual, c, pivot_rows[k])
+    return None if residual else coords
+
 
 class SpanSnapshot:
     """Frozen reduced-echelon family supporting membership tests."""
@@ -212,71 +291,9 @@ class SpanSnapshot:
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
-
-def span_dimension(vecs: Iterable[dict]) -> int:
-    basis = EchelonBasis()
-    for v in vecs:
-        basis.insert(v)
-    return basis.dimension
-
-
-def _gauss_solve(columns: list, target: dict, zero, one) -> Optional[list]:
-    """Solve sum_i x_i * columns[i] = target exactly; scalars form a field.
-
-    Returns a coefficient list or None if the system is inconsistent.
-    The solution (free variables set to zero) is verified by substitution
-    before being returned.
-    """
-    keys = sorted(set(target).union(*columns) if columns else set(target))
-    if not columns:
-        return [] if not target else None
-    key_pos = {k: i for i, k in enumerate(keys)}
-    nrows, ncols = len(keys), len(columns)
-    rows = [[zero] * (ncols + 1) for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for k, v in col.items():
-            rows[key_pos[k]][j] = v
-    for k, v in target.items():
-        rows[key_pos[k]][ncols] = v
-
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if rows[i][ncols]:
-            return None
-    solution = [zero] * ncols
-    for i, c in enumerate(pivot_cols):
-        solution[c] = rows[i][ncols]
-    # Verification by substitution.
-    check = dict(target)
-    for x, col in zip(solution, columns):
-        if not x:
-            continue
-        for k, v in col.items():
-            cur = check.get(k, zero)
-            cur = cur - x * v
-            if cur:
-                check[k] = cur
-            else:
-                check.pop(k, None)
-    if any(v for v in check.values()):
-        return None
-    return solution
+    def coordinates(self, vec: dict, one=QQ(1)) -> Optional[list]:
+        """Coordinates of ``vec`` on ``rows``, or None outside the span."""
+        return _pivot_coordinates(self._pivot, vec, one)
 
 
 def solve_q_linear(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[list]:
@@ -298,7 +315,7 @@ def solve_q_linear(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[list]:
         v = as_ratio(rhs[i])
         if v:
             target[(i,)] = v
-    return _gauss_solve(columns, target, QQ(0), QQ(1))
+    return EchelonBasis.solve(columns, target)
 
 
 def membership_ratfunc(basis_mats: Sequence[Matrix], candidate: Matrix) -> Optional[list]:
@@ -315,7 +332,7 @@ def membership_ratfunc(basis_mats: Sequence[Matrix], candidate: Matrix) -> Optio
         if m.ring != candidate.ring:
             raise ShapeMismatchError("basis and candidate over different rings")
     vecs = cleared_vecs(list(basis_mats) + [candidate])
-    return _gauss_solve(vecs[:-1], vecs[-1], QQ(0), QQ(1))
+    return EchelonBasis.solve(vecs[:-1], vecs[-1])
 
 
 def field_coordinates(basis_mats: Sequence[Matrix], candidate: Matrix) -> Optional[list]:
@@ -325,20 +342,32 @@ def field_coordinates(basis_mats: Sequence[Matrix], candidate: Matrix) -> Option
     ``membership_ratfunc``, whose coefficients are rational numbers).
     """
     ring = candidate.ring
-    if isinstance(ring, RationalField):
-        cols = [matrix_to_vec(m) for m in basis_mats]
-        return _gauss_solve(cols, matrix_to_vec(candidate), QQ(0), QQ(1))
     if isinstance(ring, RatFuncField):
-        def vec(m):
-            return {
-                (i, j): e
-                for i, row in enumerate(m.rows)
-                for j, e in enumerate(row)
-                if e
-            }
-        return _gauss_solve([vec(m) for m in basis_mats], vec(candidate), ring.zero, ring.one)
-    cols = [matrix_to_vec(m) for m in basis_mats]
-    return _gauss_solve(cols, matrix_to_vec(candidate), QQ(0), QQ(1))
+        cols = [matrix_to_field_vec(m) for m in basis_mats]
+        return EchelonBasis.solve(cols, matrix_to_field_vec(candidate), ring.one)
+    return EchelonBasis.solve([matrix_to_vec(m) for m in basis_mats], matrix_to_vec(candidate))
+
+
+def vec_matrix_product(a: dict, b: dict) -> dict:
+    """``matrix_to_vec(A * B)`` from ``matrix_to_vec(A)`` and ``matrix_to_vec(B)``.
+
+    Works on the sparse coordinates directly: entry (i, k) of A times entry
+    (k, j) of B lands on (i, j), monomial exponents adding.
+    """
+    by_row = {}
+    for (k, j, deg, mono), c in b.items():
+        by_row.setdefault(k, []).append((j, deg, mono, c))
+    out = {}
+    for (i, k, deg, mono), c in a.items():
+        for j, deg2, mono2, c2 in by_row.get(k, ()):
+            key = (i, j, deg + deg2, tuple(x + y for x, y in zip(mono, mono2)))
+            value = out.get(key)
+            value = c * c2 if value is None else value + c * c2
+            if value:
+                out[key] = value
+            else:
+                del out[key]
+    return out
 
 
 def matrix_from_vec(ring, size: tuple, vec: dict) -> Matrix:

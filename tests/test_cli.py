@@ -272,6 +272,41 @@ def test_cache_round_trip(write, capsys, tmp_path):
     assert len(entries) == 1
 
 
+@pytest.mark.parametrize("name, bumped", [("__version__", "99.0.0"), ("CACHE_SCHEMA", 99)])
+def test_cache_misses_after_a_version_or_schema_bump(write, capsys, tmp_path, monkeypatch,
+                                                      name, bumped):
+    import gkgrowth.cli as cli
+
+    path = write("poly.alg", POLY_1VAR)
+    cache = tmp_path / "cache"
+    _, old, _ = run_cli(capsys, "growth", path, "--cache-dir", str(cache))
+    monkeypatch.setattr(cli, name, bumped)
+    code, new, _ = run_cli(capsys, "growth", path, "--cache-dir", str(cache))
+    assert code == 0 and new == old
+    assert len(list(cache.iterdir())) == 2
+
+
+def test_an_interrupted_cache_write_leaves_no_entry(write, capsys, tmp_path, monkeypatch):
+    import gkgrowth.cli as cli
+
+    path = write("poly.alg", POLY_1VAR)
+    cache = tmp_path / "cache"
+    _, uncached, _ = run_cli(capsys, "growth", path)
+
+    def interrupted(src, dst):
+        raise OSError("interrupted before the rename")
+
+    monkeypatch.setattr(cli.os, "replace", interrupted)
+    with pytest.raises(OSError):
+        main(["growth", path, "--cache-dir", str(cache)])
+    assert list(cache.iterdir()) == []
+    monkeypatch.undo()
+    for _ in range(2):  # a miss, then a replay of the complete entry
+        code, out, _ = run_cli(capsys, "growth", path, "--cache-dir", str(cache))
+        assert code == 0 and out == uncached
+    assert [p.suffix for p in cache.iterdir()] == [".out"]
+
+
 def test_out_file(write, capsys, tmp_path):
     path = write("poly.alg", POLY_1VAR)
     out_path = tmp_path / "table.csv"

@@ -1,9 +1,14 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkgrowth._ratio import QQ
 from gkgrowth.algebras import AlgebraPresentation
 from gkgrowth.errors import NonStabilizingError, NotSplitOverBaseError
 from gkgrowth.fdalg import (
+    _trace_form,
     central_primitive_idempotents,
     close_to_fdalg,
     decompose_element,
@@ -262,3 +267,63 @@ def test_rational_roots():
     assert rational_roots(poly) == [QQ(1, 2), QQ(1)]
     poly = parse_poly_expr("t^2 - 2", ring)
     assert rational_roots(poly) == []
+
+
+@st.composite
+def conjugated_algebras(draw):
+    """UT_k or M_k (k = 2, 3) over QQ or QQ(x), conjugated by an integer
+    unimodular matrix (a product of transvections I + c*E_ij)."""
+    ring = draw(st.sampled_from([Q, F]))
+    k = draw(st.integers(2, 3))
+    full = draw(st.booleans())
+    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
+    moves = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(-3, 3)), max_size=4))
+    conj, inv = Matrix.identity(ring, k), Matrix.identity(ring, k)
+    for (i, j), c in moves:
+        conj = conj * Matrix.elementary(ring, k, i, j, c) + conj
+        inv = inv - Matrix.elementary(ring, k, i, j, c) * inv
+    gens = [Matrix.elementary(ring, k, i, j) for i in range(k) for j in range(k)
+            if full or i <= j]
+    if ring is F:
+        gens[0] = gens[0].scale(F.gen())
+    gens = [conj * g * inv for g in gens]
+    return close_to_fdalg(AlgebraPresentation(ring, k, gens, "conjugated"))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(conjugated_algebras())
+def test_dickson_trace_form_equals_brute_force_gram(algebra):
+    core = algebra.core
+    n = core.dim
+    # L_{b_i} has the coordinates of b_i * b_j as its j-th column.
+    lmuls = [[[core.table[i][j][k] for j in range(n)] for k in range(n)] for i in range(n)]
+    brute = [
+        [sum((lmuls[i][k][l] * lmuls[j][l][k] for k in range(n) for l in range(n)), QQ(0))
+         for j in range(n)]
+        for i in range(n)
+    ]
+    assert _trace_form(core) == brute
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(conjugated_algebras())
+def test_pivot_read_coordinates_reconstruct_every_product(algebra):
+    core, basis = algebra.core, algebra.basis
+    for i, bi in enumerate(basis):
+        for j, bj in enumerate(basis):
+            assert algebra.from_coords(core.table[i][j]) == bi * bj
+    assert algebra.from_coords(core.unit) == algebra.presentation.identity
+
+
+def test_diagonal_algebras_split_for_every_seed():
+    for d in range(1, 13):
+        for seed in range(5):
+            entries = list(range(1, d + 1))
+            random.Random(seed).shuffle(entries)
+            pres = AlgebraPresentation(Q, d, [Matrix.diagonal(Q, entries)], f"diag(1..{d})")
+            algebra = close_to_fdalg(pres)
+            data = wedderburn_complement(algebra, seed=seed)
+            assert len(data.idempotents) == d
+            assert sorted(data.idempotents, key=Matrix.sort_key) == sorted(
+                (Matrix.elementary(Q, d, i, i) for i in range(d)), key=Matrix.sort_key
+            )

@@ -1,6 +1,9 @@
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkgrowth._ratio import QQ
 from gkgrowth.errors import ShapeMismatchError
@@ -160,3 +163,61 @@ def test_vec_sort_key_total_order():
     b = vec((0, 1), (1, 1))
     assert vec_sort_key(a) != vec_sort_key(b)
     assert sorted([vec_sort_key(b), vec_sort_key(a)])[0] == vec_sort_key(a)
+
+
+ENTRIES = st.sampled_from([QQ(0), QQ(0), QQ(0), QQ(1), QQ(-1), QQ(2), QQ(1, 2), QQ(-3, 2)])
+
+
+@st.composite
+def rational_matrices(draw):
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return [[draw(ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def from_sympy(value):
+    return QQ(int(value.p), int(value.q))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rational_matrices())
+def test_kernel_agrees_with_sympy_nullspace(rows):
+    ncols = len(rows[0])
+    basis = EchelonBasis()
+    for row in rows:
+        basis.insert(vec(*enumerate(row)))
+    expected = [tuple(from_sympy(v) for v in col) for col in sympy.Matrix(rows).nullspace()]
+    assert basis.kernel([(k,) for k in range(ncols)]) == expected
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rational_matrices(), st.data())
+def test_solve_agrees_with_sympy_rref(rows, data):
+    nrows, ncols = len(rows), len(rows[0])
+    if data.draw(st.booleans()):  # a consistent right-hand side A*x0
+        x0 = [data.draw(ENTRIES) for _ in range(ncols)]
+        rhs = [sum((a * x for a, x in zip(row, x0)), QQ(0)) for row in rows]
+    else:
+        rhs = [data.draw(ENTRIES) for _ in range(nrows)]
+    reduced, pivots = sympy.Matrix(rows).row_join(sympy.Matrix(rhs)).rref()
+    if ncols in pivots:
+        expected = None
+    else:
+        expected = [QQ(0)] * ncols
+        for r, p in enumerate(pivots):
+            expected[p] = from_sympy(reduced[r, ncols])
+    columns = [vec(*((i, row[j]) for i, row in enumerate(rows))) for j in range(ncols)]
+    target = vec(*enumerate(rhs))
+    assert EchelonBasis.solve(columns, target) == expected
+    assert solve_q_linear(rows, rhs) == expected
+    # Pivot-read coordinates on the echelon rows of the column span.
+    span = EchelonBasis()
+    for col in columns:
+        span.insert(col)
+    coords = span.coordinates(target)
+    assert (coords is None) == (expected is None)
+    if coords is not None:
+        rebuilt = {}
+        for c, row in zip(coords, span.rows()):
+            for k, v in row.items():
+                rebuilt[k] = rebuilt.get(k, QQ(0)) + c * v
+        assert {k: v for k, v in rebuilt.items() if v} == target
