@@ -13,6 +13,14 @@ representatives span each level, so nothing is missed.  Candidates are
 sorted by a canonical key before insertion, which makes tables
 (dimensions and bases) identical under permutation of the generator
 list and independent of the worker count.
+
+Over QQ and QQ[x...] the candidates are multiplied in integer
+coordinates: generators and representatives are sparse coordinate
+vectors whose integral values are ints, products are formed on those
+vectors, and a ``Matrix`` is built only for a candidate that extends the
+span.  Values compare numerically, so the candidate order and the greedy
+choice of representatives are those of plain matrix products; snapshots
+and representatives hold QQ values only.
 """
 
 from __future__ import annotations
@@ -29,8 +37,10 @@ from .spans import (
     EchelonBasis,
     SpanSnapshot,
     cleared_vecs,
+    matrix_from_vec,
     matrix_to_vec,
     membership_ratfunc,
+    vec_matrix_product,
     vec_sort_key,
 )
 
@@ -175,41 +185,56 @@ def growth_sequence(
     Stops early once a level adds nothing new: the span is then closed
     under multiplication by every generator, so all later levels equal it
     and the remaining dimensions are padded with the stable value.
-    Exceeding ``basis_cap`` raises CapExceededError rather than
-    truncating silently.
+    Exceeding ``basis_cap`` raises CapExceededError at the insertion
+    that passes it, rather than truncating silently.  Over QQ and
+    QQ[x...] candidates are multiplied in integer coordinates; ``workers``
+    (threads for the candidate products) affects only QQ(x).
     """
     if max_level < 0:
         raise ValueError("max_level must be non-negative")
     if isinstance(pres.ring, RatFuncField):
         return _growth_ratfunc(pres, max_level, basis_cap, workers)
-    return _growth_coordinates(pres, max_level, basis_cap, workers)
+    return _growth_coordinates(pres, max_level, basis_cap)
 
 
-def _growth_coordinates(pres, max_level, basis_cap, workers) -> GrowthTable:
+def _integral_vec(vec: dict) -> dict:
+    """``vec`` with each integral value as an int; other values stay QQ."""
+    return {k: int(c) if c.denominator == 1 else c for k, c in vec.items()}
+
+
+def _check_cap(dimension: int, basis_cap: int, n: int, pres) -> None:
+    if dimension > basis_cap:
+        raise CapExceededError(
+            f"basis size {dimension} exceeds cap {basis_cap} at level {n} of {pres.label!r}"
+        )
+
+
+def _growth_coordinates(pres, max_level, basis_cap) -> GrowthTable:
     basis = EchelonBasis()
     ident = pres.identity
-    basis.insert(matrix_to_vec(ident))
+    ident_vec = _integral_vec(matrix_to_vec(ident))
+    basis.insert(ident_vec)
     reps = [ident]
-    new_reps = [ident]
+    new_vecs = [ident_vec]
     dims = [1]
     levels = [_CoordinateLevel(basis.snapshot(), (ident,))]
-    gens = pres.generators
+    gen_vecs = [_integral_vec(matrix_to_vec(g)) for g in pres.generators]
+    shape = (pres.size, pres.size)
     stabilized_at = None
     for n in range(1, max_level + 1):
-        products = _pmap(lambda gb: gb[0] * gb[1], [(g, b) for g in gens for b in new_reps], workers)
-        tagged = sorted(((matrix_to_vec(m), m) for m in products), key=lambda t: vec_sort_key(t[0]))
-        new_reps = []
+        candidates = sorted(
+            (vec_matrix_product(g, b) for g in gen_vecs for b in new_vecs), key=vec_sort_key
+        )
+        new_reps, new_vecs = [], []
         previous_vec = None
-        for vec, mat in tagged:
+        for vec in candidates:
             if vec == previous_vec:
                 continue
             previous_vec = vec
             if basis.insert(vec) == EXTENDED:
-                new_reps.append(mat)
-        if basis.dimension > basis_cap:
-            raise CapExceededError(
-                f"basis size {basis.dimension} exceeds cap {basis_cap} at level {n} of {pres.label!r}"
-            )
+                _check_cap(basis.dimension, basis_cap, n, pres)
+                new_vecs.append(vec)
+                new_reps.append(matrix_from_vec(pres.ring, shape, vec))
         reps = reps + new_reps
         dims.append(basis.dimension)
         levels.append(_CoordinateLevel(basis.snapshot(), tuple(reps)))
@@ -243,11 +268,8 @@ def _growth_ratfunc(pres, max_level, basis_cap, workers) -> GrowthTable:
         new_reps = []
         for v, mat in zip(vecs[len(reps):], candidates):
             if basis.insert(v) == EXTENDED:
+                _check_cap(basis.dimension, basis_cap, n, pres)
                 new_reps.append(mat)
-        if basis.dimension > basis_cap:
-            raise CapExceededError(
-                f"basis size {basis.dimension} exceeds cap {basis_cap} at level {n} of {pres.label!r}"
-            )
         reps = reps + new_reps
         dims.append(len(reps))
         levels.append(_RatFuncLevel(tuple(reps)))

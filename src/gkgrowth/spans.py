@@ -13,6 +13,11 @@ fully reduced against all the others.  The reduced form of a span is
 unique for a fixed key order, so bases are canonical regardless of
 insertion history.  Stored row dicts are never mutated in place (rows
 are replaced wholesale on re-reduction), so snapshots may share rows.
+
+``EchelonBasis`` also accepts vectors with ``int`` values: a row whose
+pivot is +-1 stays integral, any other pivot divides exactly in QQ.
+``rows`` and ``snapshot`` give int values as QQ (each stored row is
+converted once), so a snapshot holds QQ values only.
 """
 
 from __future__ import annotations
@@ -143,14 +148,28 @@ class EchelonBasis:
     def __init__(self):
         self._pivot_rows = {}  # leading key -> row dict (rows replaced, not mutated)
         self._occur = {}       # key -> set of leading keys of rows containing it
+        self._qq_rows = {}     # leading key -> (row, the row with QQ values)
 
     @property
     def dimension(self) -> int:
         return len(self._pivot_rows)
 
     def rows(self) -> list:
-        """Row dicts in increasing leading-key order (canonical)."""
-        return [self._pivot_rows[k] for k in sorted(self._pivot_rows)]
+        """Row dicts in increasing leading-key order (canonical), int values as QQ."""
+        return [self._qq_row(k) for k in sorted(self._pivot_rows)]
+
+    def _qq_row(self, lead) -> dict:
+        # Rows are replaced, never mutated, so a conversion stays valid for
+        # as long as the stored row is the same object.
+        row = self._pivot_rows[lead]
+        cached = self._qq_rows.get(lead)
+        if cached is None or cached[0] is not row:
+            if any(type(c) is int for c in row.values()):
+                cached = (row, {k: QQ(c) if type(c) is int else c for k, c in row.items()})
+            else:
+                cached = (row, row)
+            self._qq_rows[lead] = cached
+        return cached[1]
 
     def reduce(self, vec: dict) -> dict:
         """Fully reduce a copy of ``vec`` against the basis."""
@@ -166,7 +185,14 @@ class EchelonBasis:
             return DEPENDENT
         lead = min(v)
         inv = v[lead]
-        v = {k: val / inv for k, val in v.items()}
+        if type(inv) is int and inv in (1, -1):
+            # A unit pivot keeps an integer row integral.
+            if inv == -1:
+                v = {k: -val for k, val in v.items()}
+        else:
+            if type(inv) is int:
+                inv = QQ(inv)  # exact division in QQ, never int true division
+            v = {k: val / inv for k, val in v.items()}
         # Back-substitution keeps the family fully reduced.  The new pivot
         # key is strictly larger than the pivot of any row containing it,
         # so existing leading keys never move.
@@ -360,7 +386,7 @@ def vec_matrix_product(a: dict, b: dict) -> dict:
     out = {}
     for (i, k, deg, mono), c in a.items():
         for j, deg2, mono2, c2 in by_row.get(k, ()):
-            key = (i, j, deg + deg2, tuple(x + y for x, y in zip(mono, mono2)))
+            key = (i, j, deg + deg2, tuple(map(int.__add__, mono, mono2)))
             value = out.get(key)
             value = c * c2 if value is None else value + c * c2
             if value:
@@ -381,6 +407,6 @@ def matrix_from_vec(ring, size: tuple, vec: dict) -> Matrix:
     if isinstance(ring, PolyRing):
         cells = [[{} for _ in range(ncols)] for _ in range(nrows)]
         for (i, j, _deg, mono), c in vec.items():
-            cells[i][j][mono] = c
+            cells[i][j][mono] = QQ(c) if type(c) is int else c
         return Matrix(ring, [[Poly(ring, cell) for cell in row] for row in cells])
     raise TypeError(f"matrix_from_vec does not support {ring}")

@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gkgrowth._ratio import QQ
 from gkgrowth.algebras import (
     AlgebraPresentation,
     adjoin_generators,
@@ -11,7 +14,8 @@ from gkgrowth.algebras import (
 )
 from gkgrowth.errors import CapExceededError, RingMismatchError, ShapeMismatchError
 from gkgrowth.matrices import Matrix, mat_mul
-from gkgrowth.poly import PolyRing, RatFuncField, RationalField
+from gkgrowth.poly import Poly, PolyRing, RatFuncField, RationalField
+from gkgrowth.spans import EXTENDED, EchelonBasis, matrix_to_vec, vec_sort_key
 
 Q = RationalField()
 RX = PolyRing(("x",))
@@ -156,6 +160,85 @@ def test_table_identical_under_generator_permutation_and_workers():
 def test_basis_cap_is_enforced():
     with pytest.raises(CapExceededError):
         growth_sequence(poly_pres(R2), 10, basis_cap=20)
+
+
+@pytest.mark.parametrize("ring", [Q, F], ids=["QQ", "QQ(x)"])
+def test_basis_cap_fires_at_the_insertion_that_passes_it(ring, monkeypatch):
+    # Level 1 has nine distinct candidates, eight of them new: a cap of 3 must
+    # stop the level at the fourth basis vector, not after every candidate.
+    gens = [Matrix.elementary(ring, 3, i, j) for i in range(3) for j in range(3)]
+    calls = []
+    insert = EchelonBasis.insert
+
+    def counting_insert(self, vec):
+        calls.append(vec)
+        return insert(self, vec)
+
+    monkeypatch.setattr(EchelonBasis, "insert", counting_insert)
+    with pytest.raises(CapExceededError, match="basis size 4 exceeds cap 3 at level 1 "):
+        growth_sequence(AlgebraPresentation(ring, 3, gens, "mat3"), 2, basis_cap=3)
+    assert len(calls) < 1 + len(gens)
+
+
+COEFFS = st.sampled_from(
+    [QQ(0), QQ(0), QQ(0), QQ(1), QQ(-1), QQ(2), QQ(-3), QQ(1, 2), QQ(-3, 2), QQ(2, 3)]
+)
+MONOMIALS = st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)])
+
+
+@st.composite
+def small_presentations(draw):
+    ring = draw(st.sampled_from([Q, R2]))
+    size = draw(st.integers(2, 3))
+
+    def entry():
+        if ring == Q:
+            return draw(COEFFS)
+        return Poly(R2, {draw(MONOMIALS): draw(COEFFS) for _ in range(draw(st.integers(0, 2)))})
+
+    gens = [
+        Matrix(ring, [[entry() for _ in range(size)] for _ in range(size)])
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return AlgebraPresentation(ring, size, gens, "random")
+
+
+def reference_growth(pres, max_level):
+    """The growth loop on plain Matrix products, each inserted as QQ coordinates."""
+    basis = EchelonBasis()
+    basis.insert(matrix_to_vec(pres.identity))
+    reps = new_reps = [pres.identity]
+    dims, levels = [1], [(basis.snapshot().rows, tuple(reps))]
+    for _ in range(max_level):
+        products = sorted(
+            {g * b for g in pres.generators for b in new_reps},
+            key=lambda m: vec_sort_key(matrix_to_vec(m)),
+        )
+        new_reps = [m for m in products if basis.insert(matrix_to_vec(m)) == EXTENDED]
+        reps = reps + new_reps
+        dims.append(basis.dimension)
+        levels.append((basis.snapshot().rows, tuple(reps)))
+        if not new_reps:
+            break
+    return dims, levels
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_presentations())
+def test_integer_coordinate_growth_matches_matrix_products(pres):
+    level = 4 if pres.ring == Q else 3
+    table = growth_sequence(pres, level)
+    dims, levels = reference_growth(pres, level)
+    assert list(table.dims) == dims + [dims[-1]] * (level + 1 - len(dims))
+    for n, (rows, reps) in enumerate(levels):
+        got = table.level(n)
+        assert got.snapshot.rows == rows
+        assert got.representatives == reps
+        # QQ at the boundary: no int escapes into snapshots or representatives.
+        assert all(type(c) is QQ for row in got.snapshot.rows for c in row.values())
+        for e in (e for m in got.representatives for row in m.rows for e in row):
+            coeffs = [e] if pres.ring == Q else [c for _, c in e.items_unordered()]
+            assert all(type(c) is QQ for c in coeffs)
 
 
 def test_presentation_validation():

@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from gkgrowth.cli import main, parse_presentation_document
 from gkgrowth.errors import InputError
+from gkgrowth.poly import PolyRing, RatFuncField
+
+DEMO_DOCS = sorted((Path(__file__).resolve().parents[1] / "demos" / "presentations").glob("*.alg"))
 
 UT_X = """\
 label: ut2-x
@@ -325,3 +329,16 @@ def test_byte_determinism_across_workers_and_order(write, capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("doc", DEMO_DOCS, ids=lambda path: path.stem)
+def test_pipeline_exit_code_does_not_depend_on_the_seed(doc, capsys):
+    ring = parse_presentation_document(doc.read_text(encoding="utf-8")).presentation().ring
+    # A QQ(x) document takes about a second a run, so it is checked at the
+    # first and the last seed only; the others at every seed 0-4.
+    seeds = (0, 4) if isinstance(ring, RatFuncField) else range(5)
+    codes = {run_cli(capsys, "pipeline", str(doc), "--max-n", "8", "--seed", str(seed))[0]
+             for seed in seeds}
+    # The pipeline refuses a polynomial ring (exit 2); every other document
+    # reduces at --max-n 8.
+    assert codes == {2 if isinstance(ring, PolyRing) else 0}

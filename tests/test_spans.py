@@ -221,3 +221,30 @@ def test_solve_agrees_with_sympy_rref(rows, data):
             for k, v in row.items():
                 rebuilt[k] = rebuilt.get(k, QQ(0)) + c * v
         assert {k: v for k, v in rebuilt.items() if v} == target
+
+
+def test_unit_pivot_rows_stay_integral():
+    basis = EchelonBasis()
+    basis.insert({(0,): -1, (1,): 2})
+    basis.insert({(1,): 1, (2,): 3})
+    assert all(type(c) is int for row in basis._pivot_rows.values() for c in row.values())
+    assert basis.rows() == [vec((0, 1), (2, 6)), vec((1, 1), (2, 3))]
+    assert all(type(c) is QQ for row in basis.rows() for c in row.values())
+    # A pivot other than +-1 divides in QQ, never by int true division.
+    basis.insert({(2,): 2, (3,): 1})
+    assert basis.rows()[2] == vec((2, 1), (3, QQ(1, 2)))
+
+
+INT_ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.lists(INT_ENTRIES, min_size=4, max_size=4), min_size=1, max_size=6))
+def test_integer_vectors_give_the_rows_of_their_qq_copies(rows):
+    ints, rationals = EchelonBasis(), EchelonBasis()
+    for row in rows:
+        as_ints = {(k,): c for k, c in enumerate(row) if c}
+        assert ints.insert(as_ints) == rationals.insert(vec(*enumerate(row)))
+    assert ints.rows() == rationals.rows()
+    assert ints.snapshot().rows == rationals.snapshot().rows
+    assert all(type(c) is QQ for row in ints.snapshot().rows for c in row.values())
