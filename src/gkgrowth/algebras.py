@@ -16,11 +16,13 @@ list and independent of the worker count.
 
 Over QQ and QQ[x...] the candidates are multiplied in integer
 coordinates: generators and representatives are sparse coordinate
-vectors whose integral values are ints, products are formed on those
-vectors, and a ``Matrix`` is built only for a candidate that extends the
-span.  Values compare numerically, so the candidate order and the greedy
-choice of representatives are those of plain matrix products; snapshots
-and representatives hold QQ values only.
+vectors whose integral values are ints and whose keys are packed into
+single ints (``spans.KeyCodec``), and products are formed on those
+vectors.  Packed keys sort like the tuple keys and values compare
+numerically, so the candidate order and the greedy choice of
+representatives are those of plain matrix products.  Each level keeps
+its basis rows and new vectors packed; its snapshot and representatives
+(tuple keys, QQ values only) are built on first read.
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ from .poly import RatFuncField
 from .spans import (
     EXTENDED,
     EchelonBasis,
+    KeyCodec,
     SpanSnapshot,
     cleared_vecs,
     matrix_from_vec,
     matrix_to_vec,
     membership_ratfunc,
-    vec_matrix_product,
+    packed_product,
     vec_sort_key,
 )
 
@@ -94,18 +97,72 @@ def adjoin_generators(pres: AlgebraPresentation, extra: Sequence[Matrix], label:
     return pres.adjoin(extra, label)
 
 
+class _LevelReader:
+    """Reads one growth run's packed rows and vectors at the QQ boundary."""
+
+    __slots__ = ("codec", "ring", "shape", "_rows")
+
+    def __init__(self, codec: KeyCodec, ring, shape: tuple):
+        self.codec = codec
+        self.ring = ring
+        self.shape = shape
+        self._rows = {}  # id(packed row) -> (packed row, decoded row)
+
+    def row(self, packed: dict) -> dict:
+        # Rows are replaced, never mutated, so levels that share a row
+        # share its decoded copy too.
+        cached = self._rows.get(id(packed))
+        if cached is None:
+            cached = self._rows[id(packed)] = (packed, self.codec.unpack_vec(packed))
+        return cached[1]
+
+    def matrix(self, packed: dict) -> Matrix:
+        return matrix_from_vec(self.ring, self.shape, self.codec.unpack_vec(packed))
+
+
 class _CoordinateLevel:
-    """Span snapshot of one filtration level over QQ or QQ[x...]."""
+    """One filtration level over QQ or QQ[x...], built at the boundary on first read.
 
-    __slots__ = ("snapshot", "representatives")
+    The level keeps the basis rows as they stood after it and the vectors
+    it added, all on packed keys.  ``snapshot`` decodes the rows to tuple
+    keys and QQ values; ``representatives`` is the previous level's tuple
+    followed by this level's new matrices.
+    """
 
-    def __init__(self, snapshot: SpanSnapshot, representatives: tuple):
-        self.snapshot = snapshot
-        self.representatives = representatives
+    __slots__ = ("_reader", "_rows", "_new_vecs", "_previous", "_snapshot", "_representatives")
+
+    def __init__(self, reader: _LevelReader, rows: dict, new_vecs: list, previous,
+                 representatives=None):
+        self._reader = reader
+        self._rows = rows
+        self._new_vecs = new_vecs
+        self._previous = previous
+        self._snapshot = None
+        self._representatives = representatives
 
     @property
     def dimension(self) -> int:
-        return self.snapshot.dimension
+        return len(self._rows)
+
+    @property
+    def snapshot(self) -> SpanSnapshot:
+        if self._snapshot is None:
+            rows = self._rows
+            self._snapshot = SpanSnapshot(tuple(self._reader.row(rows[k]) for k in sorted(rows)))
+        return self._snapshot
+
+    @property
+    def representatives(self) -> tuple:
+        if self._representatives is None:
+            pending, level = [], self
+            while level._representatives is None:
+                pending.append(level)
+                level = level._previous
+            reps = level._representatives
+            for level in reversed(pending):
+                reps = reps + tuple(self._reader.matrix(v) for v in level._new_vecs)
+                level._representatives = reps
+        return self._representatives
 
     def contains(self, mat: Matrix) -> bool:
         return self.snapshot.contains(matrix_to_vec(mat))
@@ -210,22 +267,27 @@ def _check_cap(dimension: int, basis_cap: int, n: int, pres) -> None:
 
 
 def _growth_coordinates(pres, max_level, basis_cap) -> GrowthTable:
+    gen_vecs = [_integral_vec(matrix_to_vec(g)) for g in pres.generators]
+    # A level-n candidate has total degree at most n times the largest
+    # degree of a generator entry, so no digit of a packed key carries.
+    degree = max((k[2] for vec in gen_vecs for k in vec), default=0)
+    base = max(max_level, 1) * max(degree, 1) + 1
+    codec = KeyCodec(pres.size, getattr(pres.ring, "nvars", 0), base)
+    reader = _LevelReader(codec, pres.ring, (pres.size, pres.size))
     basis = EchelonBasis()
     ident = pres.identity
-    ident_vec = _integral_vec(matrix_to_vec(ident))
+    ident_vec = codec.pack_vec(_integral_vec(matrix_to_vec(ident)))
     basis.insert(ident_vec)
-    reps = [ident]
-    new_vecs = [ident_vec]
     dims = [1]
-    levels = [_CoordinateLevel(basis.snapshot(), (ident,))]
-    gen_vecs = [_integral_vec(matrix_to_vec(g)) for g in pres.generators]
-    shape = (pres.size, pres.size)
+    levels = [_CoordinateLevel(reader, basis.pivot_rows(), [ident_vec], None, (ident,))]
+    gen_cols = [codec.by_column(codec.pack_vec(g)) for g in gen_vecs]
+    new_rows = [codec.by_row(ident_vec)]
     stabilized_at = None
     for n in range(1, max_level + 1):
         candidates = sorted(
-            (vec_matrix_product(g, b) for g in gen_vecs for b in new_vecs), key=vec_sort_key
+            (packed_product(g, b) for g in gen_cols for b in new_rows), key=vec_sort_key
         )
-        new_reps, new_vecs = [], []
+        new_vecs = []
         previous_vec = None
         for vec in candidates:
             if vec == previous_vec:
@@ -234,17 +296,16 @@ def _growth_coordinates(pres, max_level, basis_cap) -> GrowthTable:
             if basis.insert(vec) == EXTENDED:
                 _check_cap(basis.dimension, basis_cap, n, pres)
                 new_vecs.append(vec)
-                new_reps.append(matrix_from_vec(pres.ring, shape, vec))
-        reps = reps + new_reps
         dims.append(basis.dimension)
-        levels.append(_CoordinateLevel(basis.snapshot(), tuple(reps)))
-        if not new_reps:
+        levels.append(_CoordinateLevel(reader, basis.pivot_rows(), new_vecs, levels[-1]))
+        if not new_vecs:
             # Every generator-times-representative product reduced to zero:
             # the stable span is closed under multiplication by generators.
             stabilized_at = n - 1
             dims.extend([dims[-1]] * (max_level - n))
             levels.extend([levels[-1]] * (max_level - n))
             break
+        new_rows = [codec.by_row(v) for v in new_vecs]
     return GrowthTable(pres, max_level, tuple(dims), tuple(levels), stabilized_at)
 
 

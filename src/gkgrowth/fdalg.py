@@ -33,6 +33,7 @@ returned; a failed verification raises InternalCheckError.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -569,15 +570,21 @@ def _primitive_idempotents(core: StructureAlgebra, block_idem: tuple, *, seed: i
 
 
 def _try_split(core, e, corner, rng, attempts):
-    candidates = list(corner)
-    for _ in range(attempts):
-        candidates.append(
-            tuple(
-                sum((QQ(rng.randint(-3, 3)) * v[k] for v in corner), ZERO)
-                for k in range(core.dim)
-            )
+    # Every random coefficient is drawn up front, in the order of the random
+    # vectors and their coordinates, so the generator's state and the
+    # candidates do not depend on how many candidates get tried; a random
+    # vector is built only once the corner basis has failed to split.
+    draws = [
+        [[rng.randint(-3, 3) for _ in corner] for _ in range(core.dim)] for _ in range(attempts)
+    ]
+    randoms = (
+        tuple(
+            sum((QQ(r) * v[k] for r, v in zip(row, corner)), ZERO)
+            for k, row in enumerate(coeffs)
         )
-    for u in candidates:
+        for coeffs in draws
+    )
+    for u in itertools.chain(corner, randoms):
         mu = core.min_poly(u, unit=e)
         if mu.degree() < 2:
             continue

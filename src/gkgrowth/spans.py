@@ -16,8 +16,11 @@ are replaced wholesale on re-reduction), so snapshots may share rows.
 
 ``EchelonBasis`` also accepts vectors with ``int`` values: a row whose
 pivot is +-1 stays integral, any other pivot divides exactly in QQ.
-``rows`` and ``snapshot`` give int values as QQ (each stored row is
-converted once), so a snapshot holds QQ values only.
+``rows`` and ``snapshot`` give int values as QQ, so a snapshot holds QQ
+values only.  Keys may be any totally ordered hashables: the growth loop
+packs each tuple key into one int (``KeyCodec``), which orders the same
+way, multiplies on packed keys (``packed_product``) and decodes back to
+tuple keys at the boundary.
 """
 
 from __future__ import annotations
@@ -119,6 +122,13 @@ def _axpy_inplace(target: dict, coeff, source: dict):
                 del target[k]
 
 
+def _qq_values(row: dict) -> dict:
+    """``row`` with its int values as QQ; the row itself when it has none."""
+    if any(type(c) is int for c in row.values()):
+        return {k: QQ(c) if type(c) is int else c for k, c in row.items()}
+    return row
+
+
 def _reduce_against(v: dict, pivot_rows) -> dict:
     """Fully reduce the mutable dict ``v`` against reduced pivot rows.
 
@@ -148,7 +158,6 @@ class EchelonBasis:
     def __init__(self):
         self._pivot_rows = {}  # leading key -> row dict (rows replaced, not mutated)
         self._occur = {}       # key -> set of leading keys of rows containing it
-        self._qq_rows = {}     # leading key -> (row, the row with QQ values)
 
     @property
     def dimension(self) -> int:
@@ -156,20 +165,11 @@ class EchelonBasis:
 
     def rows(self) -> list:
         """Row dicts in increasing leading-key order (canonical), int values as QQ."""
-        return [self._qq_row(k) for k in sorted(self._pivot_rows)]
+        return [_qq_values(self._pivot_rows[k]) for k in sorted(self._pivot_rows)]
 
-    def _qq_row(self, lead) -> dict:
-        # Rows are replaced, never mutated, so a conversion stays valid for
-        # as long as the stored row is the same object.
-        row = self._pivot_rows[lead]
-        cached = self._qq_rows.get(lead)
-        if cached is None or cached[0] is not row:
-            if any(type(c) is int for c in row.values()):
-                cached = (row, {k: QQ(c) if type(c) is int else c for k, c in row.items()})
-            else:
-                cached = (row, row)
-            self._qq_rows[lead] = cached
-        return cached[1]
+    def pivot_rows(self) -> dict:
+        """A shallow copy of leading key -> stored row, values as stored."""
+        return dict(self._pivot_rows)
 
     def reduce(self, vec: dict) -> dict:
         """Fully reduce a copy of ``vec`` against the basis."""
@@ -393,6 +393,88 @@ def vec_matrix_product(a: dict, b: dict) -> dict:
                 out[key] = value
             else:
                 del out[key]
+    return out
+
+
+class KeyCodec:
+    """Packs the coordinate keys ``(i, j, deg, mono)`` of d-by-d matrices into ints.
+
+    A key becomes ``((i*d + j)*B + deg)*B^m + sum_t e_t*B^(m-1-t)``: one
+    base-B digit for the degree and for each of the m exponents.  While
+    every degree stays below B no digit carries, so packed keys compare
+    exactly like the tuples they encode and decode exactly.  Dropping the
+    column of a left factor's key and the row of a right factor's key
+    makes the key of their product the sum of the two (``packed_product``).
+    """
+
+    __slots__ = ("size", "nvars", "base", "_cell")
+
+    def __init__(self, size: int, nvars: int, base: int):
+        self.size = size
+        self.nvars = nvars
+        self.base = base
+        self._cell = base ** (nvars + 1)  # the weight of one step of i*d + j
+
+    def pack(self, key: tuple) -> int:
+        i, j, deg, mono = key
+        packed = (i * self.size + j) * self.base + deg
+        for e in mono:
+            packed = packed * self.base + e
+        return packed
+
+    def unpack(self, packed: int) -> tuple:
+        mono = []
+        for _ in range(self.nvars):
+            packed, e = divmod(packed, self.base)
+            mono.append(e)
+        packed, deg = divmod(packed, self.base)
+        i, j = divmod(packed, self.size)
+        return (i, j, deg, tuple(reversed(mono)))
+
+    def pack_vec(self, vec: dict) -> dict:
+        return {self.pack(k): c for k, c in vec.items()}
+
+    def unpack_vec(self, vec: dict) -> dict:
+        """Tuple keys and QQ values: a packed vector at the API boundary."""
+        return {self.unpack(k): QQ(c) if type(c) is int else c for k, c in vec.items()}
+
+    def by_column(self, vec: dict) -> dict:
+        """A packed left factor as column k -> [(key without k, value)]."""
+        out = {}
+        for key, c in vec.items():
+            cell, rest = divmod(key, self._cell)
+            i, k = divmod(cell, self.size)
+            out.setdefault(k, []).append((i * self.size * self._cell + rest, c))
+        return out
+
+    def by_row(self, vec: dict) -> dict:
+        """A packed right factor as row k -> [(key without k, value)]."""
+        out = {}
+        for key, c in vec.items():
+            k, rest = divmod(key, self.size * self._cell)
+            out.setdefault(k, []).append((rest, c))
+        return out
+
+
+def packed_product(left: dict, right: dict) -> dict:
+    """The packed vector of A * B from ``by_column`` of A and ``by_row`` of B."""
+    out = {}
+    for k, terms in left.items():
+        row = right.get(k)
+        if row is None:
+            continue
+        for key, c in terms:
+            for key2, c2 in row:
+                kk = key + key2
+                value = out.get(kk)
+                if value is None:
+                    out[kk] = c * c2
+                else:
+                    value += c * c2
+                    if value:
+                        out[kk] = value
+                    else:
+                        del out[kk]
     return out
 
 

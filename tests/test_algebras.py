@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkgrowth import algebras
 from gkgrowth._ratio import QQ
 from gkgrowth.algebras import (
     AlgebraPresentation,
@@ -187,9 +189,9 @@ MONOMIALS = st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 
 @st.composite
-def small_presentations(draw):
-    ring = draw(st.sampled_from([Q, R2]))
-    size = draw(st.integers(2, 3))
+def small_presentations(draw, rings=(Q, R2), sizes=(2, 3)):
+    ring = draw(st.sampled_from(rings))
+    size = draw(st.integers(*sizes))
 
     def entry():
         if ring == Q:
@@ -239,6 +241,56 @@ def test_integer_coordinate_growth_matches_matrix_products(pres):
         for e in (e for m in got.representatives for row in m.rows for e in row):
             coeffs = [e] if pres.ring == Q else [c for _, c in e.items_unordered()]
             assert all(type(c) is QQ for c in coeffs)
+
+
+def test_representatives_are_built_on_first_read(monkeypatch):
+    built = []
+    real = algebras.matrix_from_vec
+
+    def counting(ring, shape, vec):
+        built.append(vec)
+        return real(ring, shape, vec)
+
+    monkeypatch.setattr(algebras, "matrix_from_vec", counting)
+    x1, x2 = R2.gens()
+    pres = AlgebraPresentation(
+        R2, 2, [Matrix(R2, [[x1, 1], [0, x2]]), Matrix(R2, [[x2, 0], [x1, 2]])], "lazy"
+    )
+    table = growth_sequence(pres, 3)
+    dims, levels = reference_growth(pres, 3)
+    assert list(table.dims) == dims
+    assert table.level(3).snapshot.rows == levels[3][0]
+    assert not built
+    top = table.level(3).representatives
+    assert top == levels[3][1]
+    assert len(built) == dims[3] - 1
+    below = table.level(2).representatives
+    assert below == levels[2][1]
+    assert len(built) == dims[3] - 1
+    assert all(a is b for a, b in zip(top, below))
+
+
+def word_rank(pres, n):
+    """sympy rank of the coefficient matrix of every word of length <= n."""
+    words, layer = [pres.identity], [pres.identity]
+    for _ in range(n):
+        layer = [g * w for g in pres.generators for w in layer]
+        words += layer
+    rows = [
+        {(i, j, mono): sympy.Rational(c.numerator, c.denominator)
+         for i, row in enumerate(w.rows) for j, e in enumerate(row)
+         for mono, c in e.items_unordered()}
+        for w in words
+    ]
+    columns = sorted({k for row in rows for k in row})
+    return sympy.Matrix([[row.get(k, 0) for k in columns] for row in rows]).rank()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_presentations(rings=(R2,), sizes=(1, 2)))
+def test_growth_dims_match_sympy_rank_of_all_words(pres):
+    table = growth_sequence(pres, 3)
+    assert [word_rank(pres, n) for n in range(4)] == list(table.dims)
 
 
 def test_presentation_validation():

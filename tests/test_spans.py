@@ -14,9 +14,12 @@ from gkgrowth.spans import (
     DEPENDENT,
     EXTENDED,
     EchelonBasis,
+    KeyCodec,
     matrix_to_vec,
     membership_ratfunc,
+    packed_product,
     solve_q_linear,
+    vec_matrix_product,
     vec_sort_key,
 )
 
@@ -248,3 +251,73 @@ def test_integer_vectors_give_the_rows_of_their_qq_copies(rows):
     assert ints.rows() == rationals.rows()
     assert ints.snapshot().rows == rationals.snapshot().rows
     assert all(type(c) is QQ for row in ints.snapshot().rows for c in row.values())
+
+
+@st.composite
+def codecs_and_keys(draw):
+    """A codec and keys (i, j, deg, mono) whose degree stays below its base."""
+    size, nvars, base = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 6))
+
+    def key():
+        mono, room = [], base - 1
+        for _ in range(nvars):
+            mono.append(draw(st.integers(0, room)))
+            room -= mono[-1]
+        return (draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1)), sum(mono),
+                tuple(mono))
+
+    return KeyCodec(size, nvars, base), [key() for _ in range(draw(st.integers(1, 12)))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(codecs_and_keys())
+def test_packed_keys_keep_tuple_order_and_decode(data):
+    codec, keys = data
+    packed = [codec.pack(k) for k in keys]
+    assert [codec.unpack(p) for p in packed] == keys
+    assert sorted(keys) == [codec.unpack(p) for p in sorted(packed)]
+    assert len(set(packed)) == len(set(keys))
+
+
+INT_COEFFS = st.sampled_from([1, -1, 2, -3, QQ(1, 2), QQ(-3, 2)])
+
+
+@st.composite
+def matrix_vec_pairs(draw):
+    """Coordinates of two d-by-d matrices over QQ[x1..xm] and a base above their degrees."""
+    size, nvars = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+
+    def vec_of():
+        vec = {}
+        for _ in range(draw(st.integers(0, 6))):
+            mono = tuple(draw(st.integers(0, 3)) for _ in range(nvars))
+            i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+            vec[(i, j, sum(mono), mono)] = draw(INT_COEFFS)
+        return vec
+
+    a, b = vec_of(), vec_of()
+    degree = max((k[2] for v in (a, b) for k in v), default=0)
+    return KeyCodec(size, nvars, 2 * degree + 1), a, b
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(matrix_vec_pairs())
+def test_packed_product_equals_vec_matrix_product(data):
+    codec, a, b = data
+    product = packed_product(codec.by_column(codec.pack_vec(a)), codec.by_row(codec.pack_vec(b)))
+    decoded = codec.unpack_vec(product)
+    assert decoded == vec_matrix_product(a, b)
+    assert all(type(c) is QQ for c in decoded.values())
+
+
+def test_packed_product_at_the_top_digit():
+    # As in a growth run to level 5 whose generators have degree 1: base 6.
+    # x1 times x1^4 reaches exponent 5 = base - 1 while x2 stays 0.
+    codec = KeyCodec(3, 2, 6)
+    x1 = codec.pack_vec({(1, 0, 1, (1, 0)): 2})
+    x1_4 = codec.pack_vec({(0, 1, 4, (4, 0)): 3, (0, 1, 4, (0, 4)): 1})
+    product = packed_product(codec.by_column(x1), codec.by_row(x1_4))
+    assert codec.unpack_vec(product) == {(1, 1, 5, (5, 0)): QQ(6), (1, 1, 5, (1, 4)): QQ(2)}
+    top = codec.pack((1, 1, 5, (5, 0)))
+    assert top in product
+    assert codec.pack((1, 1, 5, (4, 1))) < top < codec.pack((1, 2, 0, (0, 0)))
