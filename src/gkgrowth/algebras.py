@@ -23,6 +23,13 @@ numerically, so the candidate order and the greedy choice of
 representatives are those of plain matrix products.  Each level keeps
 its basis rows and new vectors packed; its snapshot and representatives
 (tuple keys, QQ values only) are built on first read.
+
+The filtration is built by a resumable builder that keeps its echelon
+basis (QQ(x): its representatives) and last level's new vectors, and
+extends one level at a time.  ``growth_sequence`` uses a throwaway
+builder, or, given a ``FiltrationStore``, the store's builder for the
+generator set, so a run that asks for one filtration several times, at
+several levels or under several labels, builds each level once.
 """
 
 from __future__ import annotations
@@ -236,6 +243,7 @@ def growth_sequence(
     *,
     basis_cap: int = DEFAULT_BASIS_CAP,
     workers: int = 1,
+    store: Optional[FiltrationStore] = None,
 ) -> GrowthTable:
     """Level-by-level span dimensions of the presentation's filtration.
 
@@ -245,13 +253,53 @@ def growth_sequence(
     Exceeding ``basis_cap`` raises CapExceededError at the insertion
     that passes it, rather than truncating silently.  Over QQ and
     QQ[x...] candidates are multiplied in integer coordinates; ``workers``
-    (threads for the candidate products) affects only QQ(x).
+    (threads for the candidate products) affects only QQ(x).  With a
+    ``store`` the table is served from the run's shared filtration;
+    without one the filtration is built for this call only.  Either way
+    the table is the same.
     """
     if max_level < 0:
         raise ValueError("max_level must be non-negative")
-    if isinstance(pres.ring, RatFuncField):
-        return _growth_ratfunc(pres, max_level, basis_cap, workers)
-    return _growth_coordinates(pres, max_level, basis_cap)
+    if store is not None:
+        return store.table(pres, max_level, basis_cap=basis_cap, workers=workers)
+    builder = _new_builder(pres.ring, pres.size, pres.generators, max_level, basis_cap)
+    return builder.table(pres, max_level, workers)
+
+
+class FiltrationStore:
+    """The growth filtrations of one run, each built once and extended on demand.
+
+    Filtrations are keyed by (ring, size, basis cap, generator set), the
+    set sorted by ``Matrix.sort_key`` with duplicates removed, so
+    presentations that differ only in label, generator order or repeats
+    share one builder.  A request at level n extends the builder to n and
+    returns exactly the table a fresh ``growth_sequence`` at n would give,
+    holding the caller's presentation.  A builder that fails its basis cap
+    is dropped.
+    """
+
+    def __init__(self):
+        self._builders = {}
+
+    def table(self, pres: AlgebraPresentation, max_level: int, *,
+              basis_cap: int = DEFAULT_BASIS_CAP, workers: int = 1) -> GrowthTable:
+        generators = tuple(sorted(set(pres.generators), key=Matrix.sort_key))
+        key = (pres.ring, pres.size, basis_cap, generators)
+        builder = self._builders.get(key)
+        if builder is None or not builder.reaches(max_level):
+            builder = _new_builder(pres.ring, pres.size, generators, max_level, basis_cap)
+            self._builders[key] = builder
+        try:
+            return builder.table(pres, max_level, workers)
+        except CapExceededError:
+            del self._builders[key]
+            raise
+
+
+def _new_builder(ring, size: int, generators, max_level: int, basis_cap: int):
+    if isinstance(ring, RatFuncField):
+        return _RatFuncBuilder(ring, size, generators, basis_cap)
+    return _CoordinateBuilder(ring, size, generators, max_level, basis_cap)
 
 
 def _integral_vec(vec: dict) -> dict:
@@ -259,87 +307,145 @@ def _integral_vec(vec: dict) -> dict:
     return {k: int(c) if c.denominator == 1 else c for k, c in vec.items()}
 
 
-def _check_cap(dimension: int, basis_cap: int, n: int, pres) -> None:
+def _check_cap(dimension: int, basis_cap: int, n: int, label: str) -> None:
     if dimension > basis_cap:
         raise CapExceededError(
-            f"basis size {dimension} exceeds cap {basis_cap} at level {n} of {pres.label!r}"
+            f"basis size {dimension} exceeds cap {basis_cap} at level {n} of {label!r}"
         )
 
 
-def _growth_coordinates(pres, max_level, basis_cap) -> GrowthTable:
-    gen_vecs = [_integral_vec(matrix_to_vec(g)) for g in pres.generators]
-    # A level-n candidate has total degree at most n times the largest
-    # degree of a generator entry, so no digit of a packed key carries.
-    degree = max((k[2] for vec in gen_vecs for k in vec), default=0)
-    base = max(max_level, 1) * max(degree, 1) + 1
-    codec = KeyCodec(pres.size, getattr(pres.ring, "nvars", 0), base)
-    reader = _LevelReader(codec, pres.ring, (pres.size, pres.size))
-    basis = EchelonBasis()
-    ident = pres.identity
-    ident_vec = codec.pack_vec(_integral_vec(matrix_to_vec(ident)))
-    basis.insert(ident_vec)
-    dims = [1]
-    levels = [_CoordinateLevel(reader, basis.pivot_rows(), [ident_vec], None, (ident,))]
-    gen_cols = [codec.by_column(codec.pack_vec(g)) for g in gen_vecs]
-    new_rows = [codec.by_row(ident_vec)]
-    stabilized_at = None
-    for n in range(1, max_level + 1):
-        candidates = sorted(
-            (packed_product(g, b) for g in gen_cols for b in new_rows), key=vec_sort_key
+class _Builder:
+    """A growth filtration built level by level; ``_extend(n, ...)`` builds up to n.
+
+    ``dims`` and ``levels`` hold levels 0..built.  Once a level adds
+    nothing, ``stabilized_at`` is the level before it and no more levels
+    are built.
+    """
+
+    def reaches(self, n: int) -> bool:
+        return True
+
+    def table(self, pres: AlgebraPresentation, n: int, workers: int) -> GrowthTable:
+        """The table a fresh build at ``n`` gives, for ``pres``, extending as needed.
+
+        A cap error met on the way names ``pres``.
+        """
+        if self.stabilized_at is None:
+            self._extend(n, pres.label, workers)
+        stable = self.stabilized_at
+        if stable is None or n <= stable:
+            return GrowthTable(pres, n, tuple(self.dims[: n + 1]), tuple(self.levels[: n + 1]))
+        pad = n - len(self.dims) + 1
+        return GrowthTable(
+            pres,
+            n,
+            tuple(self.dims) + (self.dims[-1],) * pad,
+            tuple(self.levels) + (self.levels[-1],) * pad,
+            stable,
         )
-        new_vecs = []
-        previous_vec = None
-        for vec in candidates:
-            if vec == previous_vec:
-                continue
-            previous_vec = vec
-            if basis.insert(vec) == EXTENDED:
-                _check_cap(basis.dimension, basis_cap, n, pres)
-                new_vecs.append(vec)
-        dims.append(basis.dimension)
-        levels.append(_CoordinateLevel(reader, basis.pivot_rows(), new_vecs, levels[-1]))
-        if not new_vecs:
-            # Every generator-times-representative product reduced to zero:
-            # the stable span is closed under multiplication by generators.
-            stabilized_at = n - 1
-            dims.extend([dims[-1]] * (max_level - n))
-            levels.extend([levels[-1]] * (max_level - n))
-            break
-        new_rows = [codec.by_row(v) for v in new_vecs]
-    return GrowthTable(pres, max_level, tuple(dims), tuple(levels), stabilized_at)
 
 
-def _growth_ratfunc(pres, max_level, basis_cap, workers) -> GrowthTable:
-    ident = pres.identity
-    reps = [ident]
-    new_reps = [ident]
-    dims = [1]
-    levels = [_RatFuncLevel((ident,))]
-    gens = pres.generators
-    stabilized_at = None
-    for n in range(1, max_level + 1):
-        products = _pmap(lambda gb: gb[0] * gb[1], [(g, b) for g in gens for b in new_reps], workers)
-        candidates = sorted(set(products), key=Matrix.sort_key)
-        # No fixed coordinates exist across levels, so the level span is
-        # re-echelonized from cleared coordinates of the current family.
-        vecs = cleared_vecs(reps + candidates)
-        basis = EchelonBasis()
-        for v in vecs[: len(reps)]:
-            basis.insert(v)
-        new_reps = []
-        for v, mat in zip(vecs[len(reps):], candidates):
-            if basis.insert(v) == EXTENDED:
-                _check_cap(basis.dimension, basis_cap, n, pres)
-                new_reps.append(mat)
-        reps = reps + new_reps
-        dims.append(len(reps))
-        levels.append(_RatFuncLevel(tuple(reps)))
-        if not new_reps:
-            stabilized_at = n - 1
-            dims.extend([dims[-1]] * (max_level - n))
-            levels.extend([levels[-1]] * (max_level - n))
-            break
-    return GrowthTable(pres, max_level, tuple(dims), tuple(levels), stabilized_at)
+class _CoordinateBuilder(_Builder):
+    """The filtration over QQ or QQ[x...] on packed integer coordinates.
+
+    The state is the echelon basis, the last level's new vectors indexed
+    by row and the levels built so far.  The packing base covers levels
+    up to the ``max_level`` it was made for (any level when every
+    generator entry is constant).
+    """
+
+    def __init__(self, ring, size: int, generators, max_level: int, basis_cap: int):
+        gen_vecs = [_integral_vec(matrix_to_vec(g)) for g in generators]
+        # A level-n candidate has total degree at most n times the largest
+        # degree of a generator entry, so no digit of a packed key carries.
+        degree = max((k[2] for vec in gen_vecs for k in vec), default=0)
+        self._reach = max(max_level, 1) if degree else None
+        base = max(max_level, 1) * max(degree, 1) + 1
+        codec = KeyCodec(size, getattr(ring, "nvars", 0), base)
+        self._reader = _LevelReader(codec, ring, (size, size))
+        self._basis_cap = basis_cap
+        self._basis = EchelonBasis()
+        ident = Matrix.identity(ring, size)
+        ident_vec = codec.pack_vec(_integral_vec(matrix_to_vec(ident)))
+        self._basis.insert(ident_vec)
+        self._gen_cols = [codec.by_column(codec.pack_vec(g)) for g in gen_vecs]
+        self._new_rows = [codec.by_row(ident_vec)]
+        self.dims = [1]
+        self.levels = [_CoordinateLevel(self._reader, self._basis.pivot_rows(), [ident_vec],
+                                        None, (ident,))]
+        self.stabilized_at = None
+
+    def reaches(self, n: int) -> bool:
+        return self._reach is None or n <= self._reach
+
+    def _extend(self, top: int, label: str, workers: int) -> None:
+        basis, gen_cols, new_rows = self._basis, self._gen_cols, self._new_rows
+        dims, levels, reader = self.dims, self.levels, self._reader
+        for n in range(len(dims), top + 1):
+            candidates = sorted(
+                (packed_product(g, b) for g in gen_cols for b in new_rows), key=vec_sort_key
+            )
+            new_vecs = []
+            previous_vec = None
+            for vec in candidates:
+                if vec == previous_vec:
+                    continue
+                previous_vec = vec
+                if basis.insert(vec) == EXTENDED:
+                    _check_cap(basis.dimension, self._basis_cap, n, label)
+                    new_vecs.append(vec)
+            dims.append(basis.dimension)
+            levels.append(_CoordinateLevel(reader, basis.pivot_rows(), new_vecs, levels[-1]))
+            if not new_vecs:
+                # Every generator-times-representative product reduced to zero:
+                # the stable span is closed under multiplication by generators.
+                self.stabilized_at = n - 1
+                break
+            new_rows = [reader.codec.by_row(v) for v in new_vecs]
+        self._new_rows = new_rows
+
+
+class _RatFuncBuilder(_Builder):
+    """The filtration over QQ(x), on representative matrices.
+
+    The state is the last level's new representatives and the levels
+    built so far; each level is re-echelonized from cleared coordinates.
+    """
+
+    def __init__(self, ring, size: int, generators, basis_cap: int):
+        ident = Matrix.identity(ring, size)
+        self._generators = generators
+        self._basis_cap = basis_cap
+        self._new_reps = [ident]
+        self.dims = [1]
+        self.levels = [_RatFuncLevel((ident,))]
+        self.stabilized_at = None
+
+    def _extend(self, top: int, label: str, workers: int) -> None:
+        reps = list(self.levels[-1].representatives)
+        new_reps = self._new_reps
+        for n in range(len(self.dims), top + 1):
+            pairs = [(g, b) for g in self._generators for b in new_reps]
+            products = _pmap(lambda gb: gb[0] * gb[1], pairs, workers)
+            candidates = sorted(set(products), key=Matrix.sort_key)
+            # No fixed coordinates exist across levels, so the level span is
+            # re-echelonized from cleared coordinates of the current family.
+            vecs = cleared_vecs(reps + candidates)
+            basis = EchelonBasis()
+            for v in vecs[: len(reps)]:
+                basis.insert(v)
+            new_reps = []
+            for v, mat in zip(vecs[len(reps):], candidates):
+                if basis.insert(v) == EXTENDED:
+                    _check_cap(basis.dimension, self._basis_cap, n, label)
+                    new_reps.append(mat)
+            reps.extend(new_reps)
+            self.dims.append(len(reps))
+            self.levels.append(_RatFuncLevel(tuple(reps)))
+            if not new_reps:
+                self.stabilized_at = n - 1
+                break
+        self._new_reps = new_reps
 
 
 def element_membership_at_level(

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ._ratio import QQ, ZERO, as_ratio
-from .algebras import AlgebraPresentation, growth_sequence
+from .algebras import AlgebraPresentation, FiltrationStore, growth_sequence
 from .errors import (
     InternalCheckError,
     NonStabilizingError,
@@ -211,17 +211,18 @@ def close_to_fdalg(
     *,
     level_cap: int = 30,
     basis_cap: int = 20000,
+    store: Optional[FiltrationStore] = None,
 ) -> FiniteDimAlgebra:
     """Close the presentation's span and encode it by structure constants.
 
     Over QQ (or a polynomial ring) the growth filtration must stabilize
-    within ``level_cap`` levels; over QQ(x) the scalar-field span closes
-    within matrix-size^2 steps but its structure constants must all be
-    rational numbers.
+    within ``level_cap`` levels (taken from ``store`` when given); over
+    QQ(x) the scalar-field span closes within matrix-size^2 steps but its
+    structure constants must all be rational numbers.
     """
     if isinstance(pres.ring, RatFuncField):
         return _close_scalar_field(pres)
-    table = growth_sequence(pres, level_cap, basis_cap=basis_cap)
+    table = growth_sequence(pres, level_cap, basis_cap=basis_cap, store=store)
     if table.stabilized_at is None:
         raise NonStabilizingError(
             f"{pres.label!r} did not stabilize within {level_cap} levels "

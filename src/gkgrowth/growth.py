@@ -10,6 +10,11 @@ verifiers complement it: their arithmetic identities are checked
 exactly, and each report says which hypotheses were proved, which were
 checked only up to a filtration level, and which cannot be decided from
 finite data at all.
+
+Each certificate reads its growth tables from a ``FiltrationStore``: the
+caller's when one is passed (``run_pipeline`` shares one per run), else
+one local to the call, so a filtration the certificate asks for twice,
+or shares with a nested certificate, is built once.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from ._ratio import QQ
 from .algebras import (
     DEFAULT_BASIS_CAP,
     AlgebraPresentation,
+    FiltrationStore,
     GrowthTable,
     growth_sequence,
 )
@@ -265,10 +271,12 @@ class CertificateReport:
         }
 
 
-def _certificate_tables(pres_small, pres_big, window, basis_cap, workers):
+def _certificate_tables(pres_small, pres_big, window, basis_cap, workers, store):
     hi = window[1]
-    table_small = growth_sequence(pres_small, hi, basis_cap=basis_cap, workers=workers)
-    table_big = growth_sequence(pres_big, hi, basis_cap=basis_cap, workers=workers)
+    table_small = growth_sequence(pres_small, hi, basis_cap=basis_cap, workers=workers,
+                                  store=store)
+    table_big = growth_sequence(pres_big, hi, basis_cap=basis_cap, workers=workers,
+                                store=store)
     return equivalence_check(table_small, table_big, window)
 
 
@@ -299,6 +307,7 @@ def verify_bimodule_certificate(
     window: tuple = DEFAULT_WINDOW,
     basis_cap: int = DEFAULT_BASIS_CAP,
     workers: int = 1,
+    store: Optional[FiltrationStore] = None,
 ) -> CertificateReport:
     """Verify bimodule-style dominance evidence for source <= target.
 
@@ -310,13 +319,15 @@ def verify_bimodule_certificate(
     number of module generators).
     """
     kind = "bimodule"
+    store = FiltrationStore() if store is None else store
     if source.ring != target.ring or source.size != target.size:
         raise RingMismatchError("source and target must share one ambient matrix algebra")
     module_gens = list(module_gens)
     r = len(module_gens)
     if r == 0:
         raise ValueError("need at least one module generator")
-    target_table = growth_sequence(target, max(level, window[1]), basis_cap=basis_cap, workers=workers)
+    target_table = growth_sequence(target, max(level, window[1]), basis_cap=basis_cap,
+                                   workers=workers, store=store)
     for g, s in enumerate(source.generators):
         for j in range(r):
             lhs = s * module_gens[j]
@@ -343,7 +354,8 @@ def verify_bimodule_certificate(
                             f"level-{level} span"
                         ),
                     )
-    source_table = growth_sequence(source, window[1], basis_cap=basis_cap, workers=workers)
+    source_table = growth_sequence(source, window[1], basis_cap=basis_cap, workers=workers,
+                                   store=store)
     equivalence = EquivalenceReport(
         dominance_check(source_table, target_table, window),
         dominance_check(target_table, source_table, window),
@@ -370,6 +382,7 @@ def verify_central_multiplier_certificate(
     window: tuple = DEFAULT_WINDOW,
     basis_cap: int = DEFAULT_BASIS_CAP,
     workers: int = 1,
+    store: Optional[FiltrationStore] = None,
 ) -> CertificateReport:
     """Certificate for adjoining elements cleared by a regular central multiplier.
 
@@ -381,8 +394,10 @@ def verify_central_multiplier_certificate(
     base-with-adjoined against base.
     """
     kind = "central-multiplier"
+    store = FiltrationStore() if store is None else store
     adjoined = list(adjoined)
-    base_table = growth_sequence(base, max(level, window[1]), basis_cap=basis_cap, workers=workers)
+    base_table = growth_sequence(base, max(level, window[1]), basis_cap=basis_cap,
+                                 workers=workers, store=store)
     for idx, x in enumerate(adjoined):
         if base_table.membership_level(multiplier * x, up_to=level) is None:
             return CertificateReport(
@@ -409,7 +424,7 @@ def verify_central_multiplier_certificate(
                 failed_hypothesis=f"centrality: multiplier does not commute with generator {idx}",
             )
     extended = base.adjoin(adjoined, base.label + "+cleared")
-    equivalence = _certificate_tables(extended, base, window, basis_cap, workers)
+    equivalence = _certificate_tables(extended, base, window, basis_cap, workers, store)
     return CertificateReport(
         kind,
         True,
@@ -434,6 +449,7 @@ def verify_nilpotent_adjoin_certificate(
     window: tuple = DEFAULT_WINDOW,
     basis_cap: int = DEFAULT_BASIS_CAP,
     workers: int = 1,
+    store: Optional[FiltrationStore] = None,
 ) -> CertificateReport:
     """Certificate for adjoining a set whose products with the base vanish.
 
@@ -442,17 +458,19 @@ def verify_nilpotent_adjoin_certificate(
     level-bounded evidence for the full hypothesis.
     """
     kind = "nilpotent-adjoin"
+    store = FiltrationStore() if store is None else store
     adjoined = list(adjoined)
     if nilpotency_bound < 1:
         raise ValueError("nilpotency bound must be positive")
     if not adjoined:
-        equivalence = _certificate_tables(base, base, window, basis_cap, workers)
+        equivalence = _certificate_tables(base, base, window, basis_cap, workers, store)
         return CertificateReport(
             kind, True,
             checked=("nothing adjoined: extension equals the base",),
             equivalence=equivalence,
         )
-    base_table = growth_sequence(base, max(level, window[1]), basis_cap=basis_cap, workers=workers)
+    base_table = growth_sequence(base, max(level, window[1]), basis_cap=basis_cap,
+                                 workers=workers, store=store)
     level_reps = base_table.level(min(level, base_table.max_level)).representatives
     first = span_representatives([x * b for x in adjoined for b in level_reps])
     power = first
@@ -468,7 +486,7 @@ def verify_nilpotent_adjoin_certificate(
             details={"counterexample": power[0]},
         )
     extended = base.adjoin(adjoined, base.label + "+nilpotent")
-    equivalence = _certificate_tables(extended, base, window, basis_cap, workers)
+    equivalence = _certificate_tables(extended, base, window, basis_cap, workers, store)
     return CertificateReport(
         kind,
         True,
@@ -491,6 +509,7 @@ def verify_finite_commuting_adjoin_certificate(
     basis_cap: int = DEFAULT_BASIS_CAP,
     workers: int = 1,
     labels: tuple = ("base", "extension"),
+    store: Optional[FiltrationStore] = None,
 ) -> CertificateReport:
     """Certificate for adjoining a finite-dimensional commuting set.
 
@@ -501,6 +520,7 @@ def verify_finite_commuting_adjoin_certificate(
     the extension's level span at the stated bound (level-bounded).
     """
     kind = "finite-commuting-adjoin"
+    store = FiltrationStore() if store is None else store
     nilpotent_part = [m for m in nilpotent_part if not m.is_zero]
     commuting_part = list(commuting_part)
     adjoined = list(adjoined)
@@ -515,7 +535,8 @@ def verify_finite_commuting_adjoin_certificate(
 
     if adjoined:
         finite_pres = AlgebraPresentation(ring, size, adjoined, "adjoined-part")
-        finite_table = growth_sequence(finite_pres, stabilization_cap, basis_cap=basis_cap, workers=workers)
+        finite_table = growth_sequence(finite_pres, stabilization_cap, basis_cap=basis_cap,
+                                       workers=workers, store=store)
         if finite_table.stabilized_at is None:
             return CertificateReport(
                 kind, False,
@@ -542,6 +563,7 @@ def verify_finite_commuting_adjoin_certificate(
         window=window,
         basis_cap=basis_cap,
         workers=workers,
+        store=store,
     ) if nilpotent_part else None
     if nilpotency is not None and not nilpotency.verified:
         return CertificateReport(
@@ -549,7 +571,7 @@ def verify_finite_commuting_adjoin_certificate(
             failed_hypothesis="nilpotency of the nilpotent part: " + (nilpotency.failed_hypothesis or ""),
         )
 
-    equivalence = _certificate_tables(extension, base, window, basis_cap, workers)
+    equivalence = _certificate_tables(extension, base, window, basis_cap, workers, store)
     checked = [
         f"adjoined algebra is finite dimensional: dim = {finite_dim} (stabilization proof)",
         "commutation identities (exact)",

@@ -18,6 +18,11 @@ evidence:
 The report records, per hypothesis, whether it was proved by exact
 arithmetic, checked up to a filtration level, or supported by window
 dominance only.
+
+``run_pipeline`` makes one ``FiltrationStore`` per run and passes it to
+the stage builders, the closure, the certificates and the final table
+loop, so each generator set's filtration is built once and extended as
+deeper levels are asked for.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from itertools import product as iter_product
 from typing import Optional, Sequence
 
 from ._ratio import QQ
-from .algebras import AlgebraPresentation, GrowthTable, growth_sequence
+from .algebras import AlgebraPresentation, FiltrationStore, GrowthTable, growth_sequence
 from .charpoly import char_poly
 from .errors import CapExceededError, InputError
 from .fdalg import (
@@ -234,9 +239,11 @@ class _PipelineContext:
     block_scalars: tuple = ()   # per block: tuple of center scalars
 
 
-def build_radical_split(source: AlgebraPresentation, config: PipelineConfig):
+def build_radical_split(source: AlgebraPresentation, config: PipelineConfig,
+                        store: Optional[FiltrationStore] = None):
+    store = FiltrationStore() if store is None else store
     algebra = close_to_fdalg(
-        source, level_cap=config.closure_level_cap, basis_cap=config.basis_cap
+        source, level_cap=config.closure_level_cap, basis_cap=config.basis_cap, store=store
     )
     decomposition = wedderburn_complement(algebra, seed=config.seed)
     bars, rads = [], []
@@ -260,6 +267,7 @@ def build_radical_split(source: AlgebraPresentation, config: PipelineConfig):
         window=config.certificate_window,
         basis_cap=config.basis_cap,
         workers=config.workers,
+        store=store,
     )
     idempotent_cert = verify_finite_commuting_adjoin_certificate(
         list(radical_parts),
@@ -271,6 +279,7 @@ def build_radical_split(source: AlgebraPresentation, config: PipelineConfig):
         basis_cap=config.basis_cap,
         workers=config.workers,
         labels=(source.label + "::pre-split", source.label + "::split"),
+        store=store,
     )
 
     presentation = source.adjoin(
@@ -399,7 +408,8 @@ def replace_context(context: _PipelineContext, **changes) -> _PipelineContext:
 
 
 def build_center_stage(
-    scalars_stage: PipelineStage, context: _PipelineContext, config: PipelineConfig
+    scalars_stage: PipelineStage, context: _PipelineContext, config: PipelineConfig,
+    store: Optional[FiltrationStore] = None,
 ):
     pres = scalars_stage.presentation
     ring = pres.ring
@@ -411,7 +421,7 @@ def build_center_stage(
     bar_pres = AlgebraPresentation(ring, pres.size, list(bar_gens), pres.label + "::bar")
     depth = max(config.center_level, config.module_level)
     bar_table = growth_sequence(bar_pres, depth, basis_cap=config.basis_cap,
-                                workers=config.workers)
+                                workers=config.workers, store=store)
     center_candidates = list(bar_table.level(config.center_level).representatives)
 
     def commutators(mat):
@@ -437,7 +447,7 @@ def build_center_stage(
 
     stage3_table = growth_sequence(
         presentation, config.membership_level, basis_cap=config.basis_cap,
-        workers=config.workers
+        workers=config.workers, store=store
     )
     level_reps = stage3_table.level(config.membership_level).representatives
     module_span = [w * b for w in module_witness for b in level_reps]
@@ -542,7 +552,7 @@ def _block_scalar_of(context: _PipelineContext, block_index: int, mat: Matrix):
 
 def build_commutative_witness(
     center_stage: PipelineStage, context: _PipelineContext, config: PipelineConfig,
-    words: Sequence[ReducedWord],
+    words: Sequence[ReducedWord], store: Optional[FiltrationStore] = None,
 ):
     ring = center_stage.presentation.ring
     scalar_ring = _scalar_ring(ring)
@@ -585,7 +595,7 @@ def build_commutative_witness(
         if support not in tables:
             pres = witness_for(support)
             table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap,
-                                    workers=config.workers)
+                                    workers=config.workers, store=store)
             tables[support] = (pres, table)
             estimates[support] = gk_estimate(table, config.window)
     best_word = None
@@ -598,7 +608,7 @@ def build_commutative_witness(
     if best_word is None:
         pres = witness_for(())
         table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap,
-                                workers=config.workers)
+                                workers=config.workers, store=store)
         return None, pres, table, gk_estimate(table, config.window)
     pres, table = tables[best_word.idempotent_support]
     return best_word, pres, table, estimates[best_word.idempotent_support]
@@ -623,15 +633,16 @@ def run_pipeline(source: AlgebraPresentation, config: PipelineConfig = PipelineC
     if hi > config.max_level:
         raise InputError("window upper bound exceeds max_level")
 
-    split_stage, context = build_radical_split(source, config)
+    store = FiltrationStore()
+    split_stage, context = build_radical_split(source, config, store)
     scalars_stage, context = build_central_scalars(split_stage, context, config)
-    center_stage, context = build_center_stage(scalars_stage, context, config)
+    center_stage, context = build_center_stage(scalars_stage, context, config, store)
 
     words = enumerate_reduced_words(
         context.radical_parts, context.idempotents, context.decomposition.nilpotence_degree
     )
     chosen, witness_pres, witness_table, witness_estimate = build_commutative_witness(
-        center_stage, context, config, words
+        center_stage, context, config, words, store
     )
 
     source_stage = PipelineStage("source", source)
@@ -647,7 +658,7 @@ def run_pipeline(source: AlgebraPresentation, config: PipelineConfig = PipelineC
     for stage in stages:
         tables[stage.stage_id] = growth_sequence(
             stage.presentation, config.max_level, basis_cap=config.basis_cap,
-            workers=config.workers,
+            workers=config.workers, store=store,
         )
     step_names = [
         ("source", "radical-split"),

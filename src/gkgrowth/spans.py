@@ -134,16 +134,19 @@ def _reduce_against(v: dict, pivot_rows) -> dict:
 
     ``pivot_rows`` maps leading key -> row (leading coefficient 1, zero at
     every other pivot key).  Since reduction by a pivot introduces only
-    non-pivot keys, a single sorted pass over the initial hits suffices;
-    the loop guards against that invariant ever breaking.
+    non-pivot keys, a single sorted pass over the initial hits suffices.
+    A pivot key that survives it (an explicit zero value, or a row that
+    is not reduced) raises InternalCheckError.
     """
     hits = [k for k in v if k in pivot_rows]
-    while hits:
-        for k in sorted(hits):
+    if hits:
+        hits.sort()
+        for k in hits:
             coeff = v.get(k)
             if coeff:
                 _axpy_inplace(v, coeff, pivot_rows[k])
-        hits = [k for k in v if k in pivot_rows]
+        if [k for k in v if k in pivot_rows]:
+            raise InternalCheckError("a pivot key survived reduction against the echelon rows")
     return v
 
 

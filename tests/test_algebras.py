@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 import sympy
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 from gkgrowth import algebras
 from gkgrowth._ratio import QQ
 from gkgrowth.algebras import (
+    DEFAULT_BASIS_CAP,
     AlgebraPresentation,
+    FiltrationStore,
     adjoin_generators,
     element_membership_at_level,
     growth_sequence,
@@ -291,6 +295,122 @@ def word_rank(pres, n):
 def test_growth_dims_match_sympy_rank_of_all_words(pres):
     table = growth_sequence(pres, 3)
     assert [word_rank(pres, n) for n in range(4)] == list(table.dims)
+
+
+RATFUNC_ENTRIES = [
+    F.zero, F.zero, F.one, F.coerce(QQ(-2)), F.gen(), F.one / F.gen(),
+    F.one / (F.gen() + 1), F.gen() / (F.gen() - 1),
+]
+
+
+@st.composite
+def store_scenarios(draw):
+    """Variants of one generator set (permuted, repeated, relabelled) and requests."""
+    ring = draw(st.sampled_from((Q, R2, F)))
+    if ring == F:
+        size = draw(st.integers(1, 2))
+        gens = [
+            Matrix(F, [[draw(st.sampled_from(RATFUNC_ENTRIES)) for _ in range(size)]
+                       for _ in range(size)])
+            for _ in range(draw(st.integers(1, 2)))
+        ]
+        pres = AlgebraPresentation(F, size, gens, "random")
+    else:
+        pres = draw(small_presentations(rings=(ring,), sizes=(1, 2)))
+    variants = []
+    for idx in range(draw(st.integers(1, 3))):
+        gens = draw(st.permutations(pres.generators))
+        gens += draw(st.lists(st.sampled_from(gens), max_size=2))
+        variants.append(AlgebraPresentation(ring, pres.size, gens, f"variant-{idx}"))
+    top = 4 if ring == Q else 3
+    requests = draw(st.lists(
+        st.tuples(st.integers(0, len(variants) - 1), st.integers(0, top)),
+        min_size=1, max_size=6,
+    ))
+    cap = draw(st.sampled_from([DEFAULT_BASIS_CAP, DEFAULT_BASIS_CAP, 3, 6]))
+    return variants, requests, cap
+
+
+def probes(pres):
+    gens = pres.generators
+    return [pres.identity, Matrix.elementary(pres.ring, pres.size, 0, pres.size - 1)] + [
+        g * h for g in gens[:2] for h in gens[:2]
+    ]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(store_scenarios())
+def test_store_tables_equal_fresh_tables(scenario):
+    variants, requests, cap = scenario
+    store = FiltrationStore()
+    for which, n in requests:
+        pres = variants[which]
+        try:
+            fresh = growth_sequence(pres, n, basis_cap=cap)
+        except CapExceededError as exc:
+            with pytest.raises(CapExceededError) as caught:
+                growth_sequence(pres, n, basis_cap=cap, store=store)
+            assert str(caught.value) == str(exc)
+            assert str(exc).endswith(f"of {pres.label!r}")
+            assert not store._builders  # every variant shares the one key
+            continue
+        table = growth_sequence(pres, n, basis_cap=cap, store=store)
+        assert table.presentation is pres
+        assert table.max_level == fresh.max_level == n
+        assert table.dims == fresh.dims
+        assert table.stabilized_at == fresh.stabilized_at
+        assert len(table.levels) == len(fresh.levels) == n + 1
+        for got, want in zip(table.levels, fresh.levels):
+            assert got.representatives == want.representatives
+            if pres.ring != F:
+                assert got.snapshot.rows == want.snapshot.rows
+        assert [table.membership_level(m) for m in probes(pres)] == [
+            fresh.membership_level(m) for m in probes(pres)
+        ]
+
+
+def test_store_rebuilds_a_polynomial_filtration_past_its_packing_base():
+    store = FiltrationStore()
+    pres = poly_pres(R2)
+    assert growth_sequence(pres, 2, store=store).dims == (1, 3, 6)
+    (low,) = store._builders.values()
+    assert growth_sequence(pres, 5, store=store).dims == growth_sequence(pres, 5).dims
+    (high,) = store._builders.values()
+    assert high is not low
+    assert growth_sequence(pres, 3, store=store).dims == (1, 3, 6, 10)
+    assert next(iter(store._builders.values())) is high
+    # Constant entries pack at degree 0, so a QQ builder reaches any level.
+    store = FiltrationStore()
+    growth_sequence(mat2_pres(), 1, store=store)
+    (qq,) = store._builders.values()
+    table = growth_sequence(mat2_pres(), 40, store=store)
+    assert list(store._builders.values()) == [qq]
+    assert table.dims == (1,) + (4,) * 40 and table.stabilized_at == 1
+
+
+def test_one_shot_growth_leaves_no_basis_alive(monkeypatch):
+    # Without a reference cycle the builder and its bases go away on return,
+    # with no garbage collection.
+    made = []
+    init = EchelonBasis.__init__
+
+    def recording_init(self):
+        made.append(weakref.ref(self))
+        init(self)
+
+    monkeypatch.setattr(EchelonBasis, "__init__", recording_init)
+    pres_list = [poly_pres(R2), mat2_pres(), laurent_pres()]
+    gc.collect()
+    gc.disable()
+    try:
+        for pres in pres_list:
+            made.clear()
+            table = growth_sequence(pres, 4)
+            assert made
+            assert [ref for ref in made if ref() is not None] == []
+            del table
+    finally:
+        gc.enable()
 
 
 def test_presentation_validation():

@@ -1,7 +1,8 @@
 import pytest
 
+from gkgrowth import algebras
 from gkgrowth._ratio import QQ
-from gkgrowth.algebras import AlgebraPresentation, growth_sequence
+from gkgrowth.algebras import AlgebraPresentation, FiltrationStore, growth_sequence
 from gkgrowth.errors import InputError
 from gkgrowth.matrices import Matrix
 from gkgrowth.pipeline import (
@@ -223,3 +224,64 @@ def test_report_record_shape():
     assert record["source_estimate"]["method"] == "difference-degree"
     statuses = dict(record["hypotheses"])
     assert statuses["radical parts vanish at the nilpotence degree"] == "exact"
+
+
+def laurent_pair_pres():
+    return AlgebraPresentation(
+        F, 1, [Matrix(F, [[F.gen()]]), Matrix(F, [[F.one / F.gen()]])], "laurent-pair"
+    )
+
+
+def mat2_pres():
+    gens = [Matrix.elementary(Q, 2, i, j) for i in range(2) for j in range(2)]
+    return AlgebraPresentation(Q, 2, gens, "mat2")
+
+
+@pytest.mark.parametrize("make", [ut_x_pres, scalar_x_pres, laurent_pair_pres, mat2_pres],
+                         ids=["ut2-x", "scalar-x", "laurent-pair", "mat2"])
+def test_pipeline_record_with_the_store_equals_rebuilding_every_table(make, monkeypatch):
+    stored = run_pipeline(make(), FAST).as_record()
+    table = FiltrationStore.table
+
+    def rebuild(self, pres, max_level, **options):
+        return table(FiltrationStore(), pres, max_level, **options)
+
+    monkeypatch.setattr(FiltrationStore, "table", rebuild)
+    assert run_pipeline(make(), FAST).as_record() == stored
+
+
+def test_pipeline_builds_each_filtration_level_once(monkeypatch):
+    requested = {}  # filtration key -> (highest level asked for, its table)
+    made, steps = [], []  # builders made, levels built per extension
+    table = FiltrationStore.table
+    new_builder = algebras._new_builder
+
+    def recording_table(self, pres, max_level, **options):
+        result = table(self, pres, max_level, **options)
+        key = (pres.ring, pres.size, options["basis_cap"], frozenset(pres.generators))
+        if key not in requested or requested[key][0] < max_level:
+            requested[key] = (max_level, result)
+        return result
+
+    def recording_new_builder(*args):
+        made.append(args)
+        return new_builder(*args)
+
+    for cls in (algebras._CoordinateBuilder, algebras._RatFuncBuilder):
+        def counting_extend(self, *args, _extend=cls._extend):
+            before = len(self.dims)
+            _extend(self, *args)
+            steps.append(len(self.dims) - before)
+
+        monkeypatch.setattr(cls, "_extend", counting_extend)
+    monkeypatch.setattr(FiltrationStore, "table", recording_table)
+    monkeypatch.setattr(algebras, "_new_builder", recording_new_builder)
+    run_pipeline(ut_x_pres(), FAST)
+
+    assert len(made) == len(requested) > 1
+    # A builder stops at the level after its last new one.
+    built = sum(
+        n if t.stabilized_at is None else min(n, t.stabilized_at + 1)
+        for n, t in requested.values()
+    )
+    assert sum(steps) == built <= sum(n for n, _ in requested.values())

@@ -1,6 +1,10 @@
+import operator
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkgrowth._ratio import QQ
 from gkgrowth.errors import RingMismatchError
@@ -136,3 +140,46 @@ def test_rationals_field_coercion():
     assert field.coerce(3) == QQ(3)
     with pytest.raises(RingMismatchError):
         field.coerce(px("x"))
+
+
+SX = sympy.Symbol("x")
+SMALL_UNI = st.lists(st.integers(-4, 4), min_size=1, max_size=4)
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def to_sympy(poly):
+    return sum((sympy.Rational(c.numerator, c.denominator) * SX**i
+                for i, c in enumerate(poly.uni_coeffs())), sympy.Integer(0))
+
+
+def sympy_normal_form(expr):
+    """Coefficients, lowest first, of ``cancel(expr)`` as num/den with den monic."""
+    num, den = (sympy.Poly(part, SX) for part in sympy.fraction(sympy.cancel(expr)))
+    lead = den.LC()
+    return ([c / lead for c in reversed(num.all_coeffs())],
+            [c / lead for c in reversed(den.all_coeffs())])
+
+
+def normal_form(value):
+    num = [sympy.Rational(c.numerator, c.denominator) for c in value.num.uni_coeffs()]
+    den = [sympy.Rational(c.numerator, c.denominator) for c in value.den.uni_coeffs()]
+    return num or [sympy.Integer(0)], den
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(SMALL_UNI, SMALL_UNI, SMALL_UNI, SMALL_UNI, st.sampled_from(sorted(OPS)))
+def test_ratfunc_normal_form_matches_sympy_cancel(a_num, a_den, b_num, b_den, op):
+    # Equality and hashing of QQ(x) elements, and so the filtration keys
+    # over QQ(x), rely on this form: coprime numerator, monic denominator.
+    def make(num, den):
+        den = den if any(den) else [1]
+        return RatFunc(F, Poly.from_uni_coeffs(RX, num), Poly.from_uni_coeffs(RX, den))
+
+    a, b = make(a_num, a_den), make(b_num, b_den)
+    if op == "/" and b.is_zero:
+        return
+    got = OPS[op](a, b)
+    want = OPS[op](to_sympy(a.num) / to_sympy(a.den), to_sympy(b.num) / to_sympy(b.den))
+    assert normal_form(got) == sympy_normal_form(want)
+    rescaled = RatFunc(F, got.num * a.den, got.den * a.den)
+    assert rescaled == got and hash(rescaled) == hash(got)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkgrowth._ratio import QQ
-from gkgrowth.errors import ShapeMismatchError
+from gkgrowth.errors import InternalCheckError, ShapeMismatchError
 from gkgrowth.matrices import Matrix
 from gkgrowth.parse import parse_poly_expr, parse_ratfunc_expr
 from gkgrowth.poly import PolyRing, RatFuncField
@@ -109,6 +109,26 @@ def test_rows_stay_fully_reduced():
     basis.insert(vec((2, 1)))
     rows = basis.rows()
     assert rows[0] == vec((0, 1)) and rows[1] == vec((1, 1)) and rows[2] == vec((2, 1))
+
+
+def test_a_zero_value_at_a_pivot_key_raises_instead_of_looping(deadline):
+    # The single reduction pass cannot clear a pivot key held with value 0;
+    # it must say so, not spin.
+    deadline(5)
+    basis = EchelonBasis()
+    basis.insert({(0,): 1, (1,): 1})
+    with pytest.raises(InternalCheckError, match="pivot key survived"):
+        basis.insert({(0,): 0, (2,): 1})
+    with pytest.raises(InternalCheckError):
+        basis.snapshot().contains({(0,): QQ(0), (2,): QQ(1)})
+    assert basis.dimension == 1
+
+
+def test_deadline_fixture_interrupts_a_hang(deadline):
+    deadline(0.2)
+    with pytest.raises(TimeoutError):
+        while True:
+            pass
 
 
 def test_solve_q_linear():
