@@ -6,7 +6,6 @@ matrix algebras over commutative coefficient rings, entirely over QQ.
 from ._ratio import QQ
 from .algebras import (
     AlgebraPresentation,
-    FiltrationStore,
     GrowthTable,
     adjoin_generators,
     element_membership_at_level,

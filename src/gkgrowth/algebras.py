@@ -26,10 +26,11 @@ its basis rows and new vectors packed; its snapshot and representatives
 
 The filtration is built by a resumable builder that keeps its echelon
 basis (QQ(x): its representatives) and last level's new vectors, and
-extends one level at a time.  ``growth_sequence`` uses a throwaway
-builder, or, given a ``FiltrationStore``, the store's builder for the
-generator set, so a run that asks for one filtration several times, at
-several levels or under several labels, builds each level once.
+extends one level at a time.  ``growth_sequence`` serves every table
+from a ``FiltrationStore``, the caller's or one made for the call, keyed
+by the generator set, so a run that shares one store and asks for one
+filtration several times, at several levels or under several labels,
+builds each level once.
 """
 
 from __future__ import annotations
@@ -255,15 +256,14 @@ def growth_sequence(
     QQ[x...] candidates are multiplied in integer coordinates; ``workers``
     (threads for the candidate products) affects only QQ(x).  With a
     ``store`` the table is served from the run's shared filtration;
-    without one the filtration is built for this call only.  Either way
-    the table is the same.
+    without one the filtration is built in a store for this call only.
+    Either way the table is the same.
     """
     if max_level < 0:
         raise ValueError("max_level must be non-negative")
-    if store is not None:
-        return store.table(pres, max_level, basis_cap=basis_cap, workers=workers)
-    builder = _new_builder(pres.ring, pres.size, pres.generators, max_level, basis_cap)
-    return builder.table(pres, max_level, workers)
+    if store is None:
+        store = FiltrationStore()
+    return store.table(pres, max_level, basis_cap=basis_cap, workers=workers)
 
 
 class FiltrationStore:
@@ -274,8 +274,8 @@ class FiltrationStore:
     presentations that differ only in label, generator order or repeats
     share one builder.  A request at level n extends the builder to n and
     returns exactly the table a fresh ``growth_sequence`` at n would give,
-    holding the caller's presentation.  A builder that fails its basis cap
-    is dropped.
+    holding the caller's presentation.  A builder whose extension raises
+    (a failed basis cap, say) is dropped, since it may hold part of a level.
     """
 
     def __init__(self):
@@ -291,7 +291,7 @@ class FiltrationStore:
             self._builders[key] = builder
         try:
             return builder.table(pres, max_level, workers)
-        except CapExceededError:
+        except BaseException:
             del self._builders[key]
             raise
 
@@ -351,7 +351,7 @@ class _CoordinateBuilder(_Builder):
     The state is the echelon basis, the last level's new vectors indexed
     by row and the levels built so far.  The packing base covers levels
     up to the ``max_level`` it was made for (any level when every
-    generator entry is constant).
+    generator entry is constant, or once the filtration has stabilized).
     """
 
     def __init__(self, ring, size: int, generators, max_level: int, basis_cap: int):
@@ -376,7 +376,7 @@ class _CoordinateBuilder(_Builder):
         self.stabilized_at = None
 
     def reaches(self, n: int) -> bool:
-        return self._reach is None or n <= self._reach
+        return self.stabilized_at is not None or self._reach is None or n <= self._reach
 
     def _extend(self, top: int, label: str, workers: int) -> None:
         basis, gen_cols, new_rows = self._basis, self._gen_cols, self._new_rows

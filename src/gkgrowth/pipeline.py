@@ -240,8 +240,7 @@ class _PipelineContext:
 
 
 def build_radical_split(source: AlgebraPresentation, config: PipelineConfig,
-                        store: Optional[FiltrationStore] = None):
-    store = FiltrationStore() if store is None else store
+                        store: FiltrationStore):
     algebra = close_to_fdalg(
         source, level_cap=config.closure_level_cap, basis_cap=config.basis_cap, store=store
     )
@@ -409,7 +408,7 @@ def replace_context(context: _PipelineContext, **changes) -> _PipelineContext:
 
 def build_center_stage(
     scalars_stage: PipelineStage, context: _PipelineContext, config: PipelineConfig,
-    store: Optional[FiltrationStore] = None,
+    store: FiltrationStore,
 ):
     pres = scalars_stage.presentation
     ring = pres.ring
@@ -552,7 +551,7 @@ def _block_scalar_of(context: _PipelineContext, block_index: int, mat: Matrix):
 
 def build_commutative_witness(
     center_stage: PipelineStage, context: _PipelineContext, config: PipelineConfig,
-    words: Sequence[ReducedWord], store: Optional[FiltrationStore] = None,
+    words: Sequence[ReducedWord], store: FiltrationStore,
 ):
     ring = center_stage.presentation.ring
     scalar_ring = _scalar_ring(ring)

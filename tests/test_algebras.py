@@ -386,6 +386,30 @@ def test_store_rebuilds_a_polynomial_filtration_past_its_packing_base():
     table = growth_sequence(mat2_pres(), 40, store=store)
     assert list(store._builders.values()) == [qq]
     assert table.dims == (1,) + (4,) * 40 and table.stabilized_at == 1
+    # A stabilized QQ[x1,x2] builder answers any level by padding.
+    store = FiltrationStore()
+    nil = AlgebraPresentation(R2, 2, [Matrix(R2, [[0, R2.gen(0)], [0, 0]])], "nil")
+    assert growth_sequence(nil, 2, store=store).stabilized_at == 1
+    (stable,) = store._builders.values()
+    table = growth_sequence(nil, 30, store=store)
+    assert list(store._builders.values()) == [stable]
+    assert table.dims == growth_sequence(nil, 30).dims == (1,) + (2,) * 30
+
+
+def test_store_drops_a_builder_whose_extension_raises(monkeypatch):
+    store = FiltrationStore()
+    pres = poly_pres(R2)
+    growth_sequence(pres, 1, store=store)
+
+    def interrupted(*args):
+        raise RuntimeError("interrupted")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algebras, "_check_cap", interrupted)
+        with pytest.raises(RuntimeError):
+            growth_sequence(pres, 2, store=store)
+    assert not store._builders
+    assert growth_sequence(pres, 2, store=store).dims == (1, 3, 6)
 
 
 def test_one_shot_growth_leaves_no_basis_alive(monkeypatch):
