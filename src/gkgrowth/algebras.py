@@ -12,7 +12,7 @@ times the level-n span plus the level-n span, and the stored
 representatives span each level, so nothing is missed.  Candidates are
 sorted by a canonical key before insertion, which makes tables
 (dimensions and bases) identical under permutation of the generator
-list and independent of the worker count.
+list.
 
 Over QQ and QQ[x...] the candidates are multiplied in integer
 coordinates: generators and representatives are sparse coordinate
@@ -35,7 +35,6 @@ builds each level once.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -231,19 +230,11 @@ class GrowthTable:
         return None
 
 
-def _pmap(fn, items, workers: int):
-    if workers and workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def growth_sequence(
     pres: AlgebraPresentation,
     max_level: int,
     *,
     basis_cap: int = DEFAULT_BASIS_CAP,
-    workers: int = 1,
     store: Optional[FiltrationStore] = None,
 ) -> GrowthTable:
     """Level-by-level span dimensions of the presentation's filtration.
@@ -253,17 +244,16 @@ def growth_sequence(
     and the remaining dimensions are padded with the stable value.
     Exceeding ``basis_cap`` raises CapExceededError at the insertion
     that passes it, rather than truncating silently.  Over QQ and
-    QQ[x...] candidates are multiplied in integer coordinates; ``workers``
-    (threads for the candidate products) affects only QQ(x).  With a
-    ``store`` the table is served from the run's shared filtration;
-    without one the filtration is built in a store for this call only.
-    Either way the table is the same.
+    QQ[x...] candidates are multiplied in integer coordinates, over QQ(x)
+    as matrices.  With a ``store`` the table is served from the run's
+    shared filtration; without one the filtration is built in a store for
+    this call only.  Either way the table is the same.
     """
     if max_level < 0:
         raise ValueError("max_level must be non-negative")
     if store is None:
         store = FiltrationStore()
-    return store.table(pres, max_level, basis_cap=basis_cap, workers=workers)
+    return store.table(pres, max_level, basis_cap=basis_cap)
 
 
 class FiltrationStore:
@@ -282,7 +272,7 @@ class FiltrationStore:
         self._builders = {}
 
     def table(self, pres: AlgebraPresentation, max_level: int, *,
-              basis_cap: int = DEFAULT_BASIS_CAP, workers: int = 1) -> GrowthTable:
+              basis_cap: int = DEFAULT_BASIS_CAP) -> GrowthTable:
         generators = tuple(sorted(set(pres.generators), key=Matrix.sort_key))
         key = (pres.ring, pres.size, basis_cap, generators)
         builder = self._builders.get(key)
@@ -290,7 +280,7 @@ class FiltrationStore:
             builder = _new_builder(pres.ring, pres.size, generators, max_level, basis_cap)
             self._builders[key] = builder
         try:
-            return builder.table(pres, max_level, workers)
+            return builder.table(pres, max_level)
         except BaseException:
             del self._builders[key]
             raise
@@ -325,13 +315,13 @@ class _Builder:
     def reaches(self, n: int) -> bool:
         return True
 
-    def table(self, pres: AlgebraPresentation, n: int, workers: int) -> GrowthTable:
+    def table(self, pres: AlgebraPresentation, n: int) -> GrowthTable:
         """The table a fresh build at ``n`` gives, for ``pres``, extending as needed.
 
         A cap error met on the way names ``pres``.
         """
         if self.stabilized_at is None:
-            self._extend(n, pres.label, workers)
+            self._extend(n, pres.label)
         stable = self.stabilized_at
         if stable is None or n <= stable:
             return GrowthTable(pres, n, tuple(self.dims[: n + 1]), tuple(self.levels[: n + 1]))
@@ -378,7 +368,7 @@ class _CoordinateBuilder(_Builder):
     def reaches(self, n: int) -> bool:
         return self.stabilized_at is not None or self._reach is None or n <= self._reach
 
-    def _extend(self, top: int, label: str, workers: int) -> None:
+    def _extend(self, top: int, label: str) -> None:
         basis, gen_cols, new_rows = self._basis, self._gen_cols, self._new_rows
         dims, levels, reader = self.dims, self.levels, self._reader
         for n in range(len(dims), top + 1):
@@ -421,13 +411,12 @@ class _RatFuncBuilder(_Builder):
         self.levels = [_RatFuncLevel((ident,))]
         self.stabilized_at = None
 
-    def _extend(self, top: int, label: str, workers: int) -> None:
+    def _extend(self, top: int, label: str) -> None:
         reps = list(self.levels[-1].representatives)
         new_reps = self._new_reps
         for n in range(len(self.dims), top + 1):
-            pairs = [(g, b) for g in self._generators for b in new_reps]
-            products = _pmap(lambda gb: gb[0] * gb[1], pairs, workers)
-            candidates = sorted(set(products), key=Matrix.sort_key)
+            candidates = sorted({g * b for g in self._generators for b in new_reps},
+                                key=Matrix.sort_key)
             # No fixed coordinates exist across levels, so the level span is
             # re-echelonized from cleared coordinates of the current family.
             vecs = cleared_vecs(reps + candidates)

@@ -175,7 +175,6 @@ class RunConfig:
     basis_cap: int = 20000
     seed: int = 0
     out_format: str = "csv"
-    workers: int = 1
     cache_dir: Optional[str] = None
     out_path: Optional[str] = None
 
@@ -212,7 +211,6 @@ def _config_from_args(args, default_format: str) -> RunConfig:
         basis_cap=args.cap,
         seed=args.seed,
         out_format=args.format or default_format,
-        workers=args.workers,
         cache_dir=args.cache_dir,
         out_path=args.out,
     )
@@ -285,8 +283,7 @@ def _cmd_growth(args) -> int:
 
     def compute() -> str:
         pres = load_presentation(args.file)
-        table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap,
-                                workers=config.workers)
+        table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap)
         if config.out_format == "csv":
             rows = [f"{n},{dim}" for n, dim in enumerate(table.dims)]
             return _render_csv_rows("n,dim", rows)
@@ -310,8 +307,7 @@ def _cmd_gkdim(args) -> int:
 
     def compute() -> str:
         pres = load_presentation(args.file)
-        table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap,
-                                workers=config.workers)
+        table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap)
         estimate = gk_estimate(table, config.window)
         if config.out_format == "csv":
             row = f"{estimate.method},{ratio_str(estimate.value)},{estimate.window[0]},{estimate.window[1]}"
@@ -333,10 +329,8 @@ def _cmd_compare(args) -> int:
         window = config.window or (1, config.max_level)
         if window[1] > config.max_level:
             raise InputError("window upper bound exceeds --max-n")
-        table_a = growth_sequence(pres_a, config.max_level, basis_cap=config.basis_cap,
-                                  workers=config.workers)
-        table_b = growth_sequence(pres_b, config.max_level, basis_cap=config.basis_cap,
-                                  workers=config.workers)
+        table_a = growth_sequence(pres_a, config.max_level, basis_cap=config.basis_cap)
+        table_b = growth_sequence(pres_b, config.max_level, basis_cap=config.basis_cap)
         report = equivalence_check(table_a, table_b, window)
         return _render_json({"schema": "equivalence-report", **report.as_record()})
 
@@ -353,10 +347,9 @@ def _cmd_charclosure(args) -> int:
         pres = load_presentation(args.file)
         word_length = config.word_length or pres.size * pres.size
         closure = trace_algebra_generators(pres, word_length)
-        base_table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap,
-                                     workers=config.workers)
+        base_table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap)
         closure_table = growth_sequence(closure.closure, config.max_level,
-                                        basis_cap=config.basis_cap, workers=config.workers)
+                                        basis_cap=config.basis_cap)
         finiteness = module_finiteness_check(closure)
         return _render_json(
             {
@@ -420,7 +413,6 @@ def _cmd_pipeline(args) -> int:
             word_length=config.word_length,
             basis_cap=config.basis_cap,
             seed=config.seed,
-            workers=config.workers,
         )
         report = run_pipeline(pres, pipeline_config)
         return _render_json({"schema": "pipeline-report", **report.as_record()})
@@ -439,10 +431,9 @@ def _cmd_exbig(args) -> int:
         pres, _embedding = build_diagonal_embedding_example(args.m)
         word_length = config.word_length or 1
         closure = trace_algebra_generators(pres, word_length)
-        base_table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap,
-                                     workers=config.workers)
+        base_table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap)
         closure_table = growth_sequence(closure.closure, config.max_level,
-                                        basis_cap=config.basis_cap, workers=config.workers)
+                                        basis_cap=config.basis_cap)
         return _render_json(
             {
                 "schema": "diagonal-example",
@@ -478,7 +469,6 @@ def _add_common(parser: argparse.ArgumentParser, default_max_n: int):
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
     parser.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (growth/gkdim default csv, reports are json)")
-    parser.add_argument("--workers", type=int, default=1, help="worker threads for products")
     parser.add_argument("--cache-dir", type=str, default=None, help="result cache directory")
     parser.add_argument("--out", type=str, default=None, help="write output to this file")
 

@@ -34,8 +34,7 @@ from .algebras import (
 from .charpoly import determinant
 from .errors import InsufficientDataError, RingMismatchError
 from .matrices import Matrix
-from .poly import RatFuncField
-from .spans import EXTENDED, EchelonBasis, cleared_vecs, matrix_to_vec
+from .spans import EXTENDED, EchelonBasis, cleared_vecs
 
 DEFAULT_WINDOW = (1, 8)
 
@@ -271,27 +270,19 @@ class CertificateReport:
         }
 
 
-def _certificate_tables(pres_small, pres_big, window, basis_cap, workers, store):
+def _certificate_tables(pres_small, pres_big, window, basis_cap, store):
     hi = window[1]
-    table_small = growth_sequence(pres_small, hi, basis_cap=basis_cap, workers=workers,
-                                  store=store)
-    table_big = growth_sequence(pres_big, hi, basis_cap=basis_cap, workers=workers,
-                                store=store)
+    table_small = growth_sequence(pres_small, hi, basis_cap=basis_cap, store=store)
+    table_big = growth_sequence(pres_big, hi, basis_cap=basis_cap, store=store)
     return equivalence_check(table_small, table_big, window)
 
 
 def span_representatives(mats: Sequence[Matrix]) -> list:
     """Canonical representative sublist spanning the QQ-span of ``mats``."""
     nonzero = sorted({m for m in mats if not m.is_zero}, key=Matrix.sort_key)
-    if not nonzero:
-        return []
-    if isinstance(nonzero[0].ring, RatFuncField):
-        vecs = cleared_vecs(nonzero)
-    else:
-        vecs = [matrix_to_vec(m) for m in nonzero]
     basis = EchelonBasis()
     reps = []
-    for vec, mat in zip(vecs, nonzero):
+    for vec, mat in zip(cleared_vecs(nonzero), nonzero):
         if basis.insert(vec) == EXTENDED:
             reps.append(mat)
     return reps
@@ -306,7 +297,6 @@ def verify_bimodule_certificate(
     level: int = 6,
     window: tuple = DEFAULT_WINDOW,
     basis_cap: int = DEFAULT_BASIS_CAP,
-    workers: int = 1,
     store: Optional[FiltrationStore] = None,
 ) -> CertificateReport:
     """Verify bimodule-style dominance evidence for source <= target.
@@ -327,7 +317,7 @@ def verify_bimodule_certificate(
     if r == 0:
         raise ValueError("need at least one module generator")
     target_table = growth_sequence(target, max(level, window[1]), basis_cap=basis_cap,
-                                   workers=workers, store=store)
+                                   store=store)
     for g, s in enumerate(source.generators):
         for j in range(r):
             lhs = s * module_gens[j]
@@ -354,8 +344,7 @@ def verify_bimodule_certificate(
                             f"level-{level} span"
                         ),
                     )
-    source_table = growth_sequence(source, window[1], basis_cap=basis_cap, workers=workers,
-                                   store=store)
+    source_table = growth_sequence(source, window[1], basis_cap=basis_cap, store=store)
     equivalence = EquivalenceReport(
         dominance_check(source_table, target_table, window),
         dominance_check(target_table, source_table, window),
@@ -381,7 +370,6 @@ def verify_central_multiplier_certificate(
     level: int = 6,
     window: tuple = DEFAULT_WINDOW,
     basis_cap: int = DEFAULT_BASIS_CAP,
-    workers: int = 1,
     store: Optional[FiltrationStore] = None,
 ) -> CertificateReport:
     """Certificate for adjoining elements cleared by a regular central multiplier.
@@ -397,7 +385,7 @@ def verify_central_multiplier_certificate(
     store = FiltrationStore() if store is None else store
     adjoined = list(adjoined)
     base_table = growth_sequence(base, max(level, window[1]), basis_cap=basis_cap,
-                                 workers=workers, store=store)
+                                 store=store)
     for idx, x in enumerate(adjoined):
         if base_table.membership_level(multiplier * x, up_to=level) is None:
             return CertificateReport(
@@ -424,7 +412,7 @@ def verify_central_multiplier_certificate(
                 failed_hypothesis=f"centrality: multiplier does not commute with generator {idx}",
             )
     extended = base.adjoin(adjoined, base.label + "+cleared")
-    equivalence = _certificate_tables(extended, base, window, basis_cap, workers, store)
+    equivalence = _certificate_tables(extended, base, window, basis_cap, store)
     return CertificateReport(
         kind,
         True,
@@ -448,7 +436,6 @@ def verify_nilpotent_adjoin_certificate(
     level: int = 6,
     window: tuple = DEFAULT_WINDOW,
     basis_cap: int = DEFAULT_BASIS_CAP,
-    workers: int = 1,
     store: Optional[FiltrationStore] = None,
 ) -> CertificateReport:
     """Certificate for adjoining a set whose products with the base vanish.
@@ -463,14 +450,14 @@ def verify_nilpotent_adjoin_certificate(
     if nilpotency_bound < 1:
         raise ValueError("nilpotency bound must be positive")
     if not adjoined:
-        equivalence = _certificate_tables(base, base, window, basis_cap, workers, store)
+        equivalence = _certificate_tables(base, base, window, basis_cap, store)
         return CertificateReport(
             kind, True,
             checked=("nothing adjoined: extension equals the base",),
             equivalence=equivalence,
         )
     base_table = growth_sequence(base, max(level, window[1]), basis_cap=basis_cap,
-                                 workers=workers, store=store)
+                                 store=store)
     level_reps = base_table.level(min(level, base_table.max_level)).representatives
     first = span_representatives([x * b for x in adjoined for b in level_reps])
     power = first
@@ -486,7 +473,7 @@ def verify_nilpotent_adjoin_certificate(
             details={"counterexample": power[0]},
         )
     extended = base.adjoin(adjoined, base.label + "+nilpotent")
-    equivalence = _certificate_tables(extended, base, window, basis_cap, workers, store)
+    equivalence = _certificate_tables(extended, base, window, basis_cap, store)
     return CertificateReport(
         kind,
         True,
@@ -507,7 +494,6 @@ def verify_finite_commuting_adjoin_certificate(
     stabilization_cap: int = 30,
     window: tuple = DEFAULT_WINDOW,
     basis_cap: int = DEFAULT_BASIS_CAP,
-    workers: int = 1,
     labels: tuple = ("base", "extension"),
     store: Optional[FiltrationStore] = None,
 ) -> CertificateReport:
@@ -536,7 +522,7 @@ def verify_finite_commuting_adjoin_certificate(
     if adjoined:
         finite_pres = AlgebraPresentation(ring, size, adjoined, "adjoined-part")
         finite_table = growth_sequence(finite_pres, stabilization_cap, basis_cap=basis_cap,
-                                       workers=workers, store=store)
+                                       store=store)
         if finite_table.stabilized_at is None:
             return CertificateReport(
                 kind, False,
@@ -562,7 +548,6 @@ def verify_finite_commuting_adjoin_certificate(
         level=level,
         window=window,
         basis_cap=basis_cap,
-        workers=workers,
         store=store,
     ) if nilpotent_part else None
     if nilpotency is not None and not nilpotency.verified:
@@ -571,7 +556,7 @@ def verify_finite_commuting_adjoin_certificate(
             failed_hypothesis="nilpotency of the nilpotent part: " + (nilpotency.failed_hypothesis or ""),
         )
 
-    equivalence = _certificate_tables(extension, base, window, basis_cap, workers, store)
+    equivalence = _certificate_tables(extension, base, window, basis_cap, store)
     checked = [
         f"adjoined algebra is finite dimensional: dim = {finite_dim} (stabilization proof)",
         "commutation identities (exact)",

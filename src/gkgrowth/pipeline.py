@@ -53,12 +53,7 @@ from .growth import (
 )
 from .matrices import Matrix
 from .poly import RatFuncField, RationalField
-from .spans import (
-    EchelonBasis,
-    cleared_vecs,
-    field_coordinates,
-    matrix_to_vec,
-)
+from .spans import EchelonBasis, cleared_vecs, field_coordinates
 
 WORD_ENUMERATION_CAP = 200_000
 
@@ -75,7 +70,6 @@ class PipelineConfig:
     basis_cap: int = 20000
     closure_level_cap: int = 30
     seed: int = 0
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -176,12 +170,7 @@ def _span_membership_batch(span_mats: Sequence[Matrix], tests: Sequence[Matrix])
     """Membership of each test matrix in the QQ-span of ``span_mats``."""
     span_mats = list(span_mats)
     tests = list(tests)
-    if not span_mats:
-        return [t.is_zero for t in tests]
-    if isinstance(span_mats[0].ring, RatFuncField):
-        vecs = cleared_vecs(span_mats + tests)
-    else:
-        vecs = [matrix_to_vec(m) for m in span_mats + tests]
+    vecs = cleared_vecs(span_mats + tests)
     basis = EchelonBasis()
     for v in vecs[: len(span_mats)]:
         basis.insert(v)
@@ -198,10 +187,7 @@ def _q_kernel_matrices(candidates: Sequence[Matrix], constraints) -> list:
     for c in candidates:
         stacked.extend(constraints(c))
     per_candidate = len(stacked) // len(candidates) if candidates else 0
-    if isinstance(candidates[0].ring, RatFuncField):
-        vecs = cleared_vecs(stacked)
-    else:
-        vecs = [matrix_to_vec(m) for m in stacked]
+    vecs = cleared_vecs(stacked)
     rows = {}  # one row per (constraint slot, coordinate key), over the candidates
     for idx in range(len(candidates)):
         for slot in range(per_candidate):
@@ -265,7 +251,6 @@ def build_radical_split(source: AlgebraPresentation, config: PipelineConfig,
         level=config.membership_level,
         window=config.certificate_window,
         basis_cap=config.basis_cap,
-        workers=config.workers,
         store=store,
     )
     idempotent_cert = verify_finite_commuting_adjoin_certificate(
@@ -276,7 +261,6 @@ def build_radical_split(source: AlgebraPresentation, config: PipelineConfig,
         level=config.membership_level,
         window=config.certificate_window,
         basis_cap=config.basis_cap,
-        workers=config.workers,
         labels=(source.label + "::pre-split", source.label + "::split"),
         store=store,
     )
@@ -393,13 +377,9 @@ def build_central_scalars(
         provenance={"central_scalars": adjoined},
         notes=tuple(notes),
     )
-    context = replace_context(context, central_scalar_matrices=adjoined,
-                              block_scalars=tuple(per_block_scalars))
+    context = replace(context, central_scalar_matrices=adjoined,
+                      block_scalars=tuple(per_block_scalars))
     return stage, context
-
-
-def replace_context(context: _PipelineContext, **changes) -> _PipelineContext:
-    return replace(context, **changes)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +399,7 @@ def build_center_stage(
     )
     bar_pres = AlgebraPresentation(ring, pres.size, list(bar_gens), pres.label + "::bar")
     depth = max(config.center_level, config.module_level)
-    bar_table = growth_sequence(bar_pres, depth, basis_cap=config.basis_cap,
-                                workers=config.workers, store=store)
+    bar_table = growth_sequence(bar_pres, depth, basis_cap=config.basis_cap, store=store)
     center_candidates = list(bar_table.level(config.center_level).representatives)
 
     def commutators(mat):
@@ -445,8 +424,7 @@ def build_center_stage(
     )
 
     stage3_table = growth_sequence(
-        presentation, config.membership_level, basis_cap=config.basis_cap,
-        workers=config.workers, store=store
+        presentation, config.membership_level, basis_cap=config.basis_cap, store=store
     )
     level_reps = stage3_table.level(config.membership_level).representatives
     module_span = [w * b for w in module_witness for b in level_reps]
@@ -490,9 +468,7 @@ def build_center_stage(
         certificates=(module_cert,),
         notes=notes,
     )
-    context = replace_context(
-        context, center_matrices=center, module_witness=module_witness
-    )
+    context = replace(context, center_matrices=center, module_witness=module_witness)
     return stage, context
 
 
@@ -594,7 +570,7 @@ def build_commutative_witness(
         if support not in tables:
             pres = witness_for(support)
             table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap,
-                                    workers=config.workers, store=store)
+                                    store=store)
             tables[support] = (pres, table)
             estimates[support] = gk_estimate(table, config.window)
     best_word = None
@@ -607,7 +583,7 @@ def build_commutative_witness(
     if best_word is None:
         pres = witness_for(())
         table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap,
-                                workers=config.workers, store=store)
+                                store=store)
         return None, pres, table, gk_estimate(table, config.window)
     pres, table = tables[best_word.idempotent_support]
     return best_word, pres, table, estimates[best_word.idempotent_support]
@@ -656,8 +632,7 @@ def run_pipeline(source: AlgebraPresentation, config: PipelineConfig = PipelineC
     tables = {}
     for stage in stages:
         tables[stage.stage_id] = growth_sequence(
-            stage.presentation, config.max_level, basis_cap=config.basis_cap,
-            workers=config.workers, store=store,
+            stage.presentation, config.max_level, basis_cap=config.basis_cap, store=store
         )
     step_names = [
         ("source", "radical-split"),

@@ -75,12 +75,16 @@ def poly_to_vec(p: Poly) -> dict:
 
 
 def cleared_vecs(mats: Sequence[Matrix]) -> list:
-    """Coordinates of QQ(x) matrices after clearing their common denominator.
+    """QQ-coordinates of a family of matrices over one ring.
 
-    Multiplying the whole family by one nonzero polynomial preserves all
-    QQ-linear relations, so ranks and memberships computed on the result
-    agree with the originals.
+    Over QQ and QQ[x...] these are ``matrix_to_vec``.  Over QQ(x) the
+    family is first cleared of its common denominator: multiplying the
+    whole family by one nonzero polynomial preserves all QQ-linear
+    relations, so ranks and memberships computed on the result agree with
+    the originals.
     """
+    if mats and not isinstance(mats[0].ring, RatFuncField):
+        return [matrix_to_vec(m) for m in mats]
     entries = [e for m in mats for row in m.rows for e in row]
     if not entries:
         return []
@@ -193,6 +197,8 @@ class EchelonBasis:
             if inv == -1:
                 v = {k: -val for k, val in v.items()}
         else:
+            if not inv:
+                raise InternalCheckError("an explicit zero value reached the leading key")
             if type(inv) is int:
                 inv = QQ(inv)  # exact division in QQ, never int true division
             v = {k: val / inv for k, val in v.items()}

@@ -1,9 +1,11 @@
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from gkgrowth.cli import main, parse_presentation_document
+from gkgrowth.cli import _add_common, main, parse_presentation_document
 from gkgrowth.errors import InputError
 from gkgrowth.poly import PolyRing, RatFuncField
 
@@ -320,15 +322,31 @@ def test_out_file(write, capsys, tmp_path):
     assert out_path.read_text() == "n,dim\n0,1\n1,2\n2,3\n"
 
 
-def test_byte_determinism_across_workers_and_order(write, capsys):
-    a = write("a.alg", UT_X)
-    b = write("b.alg", UT_X_PERMUTED)
+def test_byte_determinism_across_generator_order(write, capsys):
     outputs = []
-    for path, workers in ((a, "1"), (b, "4")):
-        code, out, _ = run_cli(capsys, "growth", path, "--workers", workers)
+    for path in (write("a.alg", UT_X), write("b.alg", UT_X_PERMUTED)):
+        code, out, _ = run_cli(capsys, "growth", path)
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_workers_flag_is_a_usage_error(write, capsys):
+    path = write("a.alg", UT_X)
+    with pytest.raises(SystemExit) as exc:
+        main(["growth", path, "--workers", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "unrecognized arguments: --workers 2" in err
+
+
+def test_readme_common_flags_are_the_registered_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"Common flags:(.*?)\.\s", readme, re.S).group(1)
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_common(parser, 12)
+    registered = {option for action in parser._actions for option in action.option_strings}
+    assert set(re.findall(r"`(--[\w-]+)", listed)) == registered
 
 
 @pytest.mark.parametrize("doc", DEMO_DOCS, ids=lambda path: path.stem)

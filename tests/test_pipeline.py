@@ -206,10 +206,6 @@ def test_pipeline_determinism():
     )
     permuted = run_pipeline(permuted_pres, FAST).as_record()
     assert base == permuted
-    threaded = run_pipeline(ut_x_pres(), PipelineConfig(
-        max_level=10, window=(4, 10), certificate_window=(1, 5), workers=3
-    )).as_record()
-    assert base == threaded
 
 
 def test_report_record_shape():

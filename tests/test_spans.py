@@ -124,6 +124,16 @@ def test_a_zero_value_at_a_pivot_key_raises_instead_of_looping(deadline):
     assert basis.dimension == 1
 
 
+@pytest.mark.parametrize("zero, one", [(QQ(0), QQ(1)), (0, 1)], ids=["QQ", "int"])
+def test_a_zero_value_at_the_leading_key_raises_instead_of_dividing(zero, one):
+    # An empty basis leaves the vector as given, so its explicit zero is the
+    # smallest key: it must be reported, not divided by.
+    basis = EchelonBasis()
+    with pytest.raises(InternalCheckError, match="leading key"):
+        basis.insert({(0,): zero, (1,): one})
+    assert basis.dimension == 0
+
+
 def test_deadline_fixture_interrupts_a_hang(deadline):
     deadline(0.2)
     with pytest.raises(TimeoutError):
