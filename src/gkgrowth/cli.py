@@ -173,7 +173,6 @@ class RunConfig:
     window: Optional[tuple] = None
     word_length: Optional[int] = None
     basis_cap: int = 20000
-    seed: int = 0
     out_format: str = "csv"
     cache_dir: Optional[str] = None
     out_path: Optional[str] = None
@@ -185,7 +184,6 @@ class RunConfig:
                 "window": list(self.window) if self.window else None,
                 "word_length": self.word_length,
                 "basis_cap": self.basis_cap,
-                "seed": self.seed,
                 "format": self.out_format,
             },
             sort_keys=True,
@@ -209,7 +207,6 @@ def _config_from_args(args, default_format: str) -> RunConfig:
         window=_parse_window(args.window) if args.window else None,
         word_length=args.word_len,
         basis_cap=args.cap,
-        seed=args.seed,
         out_format=args.format or default_format,
         cache_dir=args.cache_dir,
         out_path=args.out,
@@ -412,7 +409,6 @@ def _cmd_pipeline(args) -> int:
             window=window,
             word_length=config.word_length,
             basis_cap=config.basis_cap,
-            seed=config.seed,
         )
         report = run_pipeline(pres, pipeline_config)
         return _render_json({"schema": "pipeline-report", **report.as_record()})
@@ -466,7 +462,6 @@ def _add_common(parser: argparse.ArgumentParser, default_max_n: int):
     parser.add_argument("--word-len", type=int, default=None,
                         help="characteristic-closure word length cutoff")
     parser.add_argument("--cap", type=int, default=20000, help="span basis size cap")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
     parser.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (growth/gkdim default csv, reports are json)")
     parser.add_argument("--cache-dir", type=str, default=None, help="result cache directory")

@@ -18,6 +18,13 @@ search.  Semisimple quotients must split over QQ: a quotient that does
 not (an irrational-eigenvalue center, a division algebra block) raises
 NotSplitOverBaseError instead of silently extending the base field.
 
+Each simple block is split into primitive idempotents in the semisimple
+quotient; the search tries the block's corner basis, then candidates
+drawn from one fixed pseudo-random stream, so every run gives the same
+answer.  The idempotents are lifted through the radical, and the block's
+matrix units are found in the algebra itself, between the lifted
+idempotents.
+
 Every kernel, solve and coordinate computation runs on the one exact
 elimination engine, ``EchelonBasis``.
 
@@ -325,12 +332,17 @@ def radical_coords(core: StructureAlgebra) -> list:
     Verified on every call: the result is a two-sided ideal and is
     nilpotent, otherwise InternalCheckError is raised.
     """
+    return _radical(core)[0]
+
+
+def _radical(core: StructureAlgebra):
+    """The radical's canonical basis and its nilpotence degree, both verified."""
     kernel = _null_space(_trace_form(core), core.dim)
-    _verify_radical(core, kernel)
-    return kernel
+    return kernel, _verify_radical(core, kernel)
 
 
-def _verify_radical(core: StructureAlgebra, rad: Sequence[tuple]):
+def _verify_radical(core: StructureAlgebra, rad: Sequence[tuple]) -> int:
+    """Check that rad spans a nilpotent two-sided ideal; return its degree."""
     span, reps = _coord_span(rad)
     for z in reps:
         for i in range(core.dim):
@@ -338,10 +350,7 @@ def _verify_radical(core: StructureAlgebra, rad: Sequence[tuple]):
             for product in (core.mul(z, b), core.mul(b, z)):
                 if not span.contains(_vec_to_dict(product)):
                     raise InternalCheckError("trace-form kernel is not a two-sided ideal")
-    if reps:
-        degree = nilpotence_degree_coords(core, reps)
-        if degree > core.dim + 1:
-            raise InternalCheckError("trace-form kernel is not nilpotent")
+    return nilpotence_degree_coords(core, reps)
 
 
 def nilpotence_degree_coords(core: StructureAlgebra, rad: Sequence[tuple]) -> int:
@@ -509,7 +518,6 @@ def central_primitive_idempotents_coords(core: StructureAlgebra) -> list:
 def _center_coords(core: StructureAlgebra) -> list:
     rows = []
     for j in range(core.dim):
-        bj = core.basis_vector(j)
         for k in range(core.dim):
             rows.append(
                 [core.table[i][j][k] - core.table[j][i][k] for i in range(core.dim)]
@@ -545,11 +553,10 @@ def _corner_basis(core: StructureAlgebra, e: tuple) -> list:
     return reps
 
 
-def _primitive_idempotents(core: StructureAlgebra, block_idem: tuple, *, seed: int = 0,
-                           attempts: int = 24) -> list:
+def _primitive_idempotents(core: StructureAlgebra, block_idem: tuple) -> list:
     """Split a central idempotent of a semisimple algebra into primitive
     orthogonal idempotents, by spectral splitting of corner elements."""
-    rng = random.Random(seed)
+    rng = random.Random(0)
     finished = []
     stack = [block_idem]
     while stack:
@@ -558,7 +565,7 @@ def _primitive_idempotents(core: StructureAlgebra, block_idem: tuple, *, seed: i
         if len(corner) == 1:
             finished.append(e)
             continue
-        split = _try_split(core, e, corner, rng, attempts)
+        split = _try_split(core, e, corner, rng)
         if split is None:
             raise NotSplitOverBaseError(
                 "no rational splitting element found in a matrix block; "
@@ -570,13 +577,17 @@ def _primitive_idempotents(core: StructureAlgebra, block_idem: tuple, *, seed: i
     return sorted(finished)
 
 
-def _try_split(core, e, corner, rng, attempts):
+_RANDOM_CANDIDATES = 24
+
+
+def _try_split(core, e, corner, rng):
     # Every random coefficient is drawn up front, in the order of the random
     # vectors and their coordinates, so the generator's state and the
     # candidates do not depend on how many candidates get tried; a random
     # vector is built only once the corner basis has failed to split.
     draws = [
-        [[rng.randint(-3, 3) for _ in corner] for _ in range(core.dim)] for _ in range(attempts)
+        [[rng.randint(-3, 3) for _ in corner] for _ in range(core.dim)]
+        for _ in range(_RANDOM_CANDIDATES)
     ]
     randoms = (
         tuple(
@@ -618,18 +629,24 @@ def _try_split(core, e, corner, rng, attempts):
     return None
 
 
-def _matrix_units(core: StructureAlgebra, prims: Sequence[tuple]) -> dict:
-    """Matrix units of one simple split block from its primitive idempotents."""
+def _matrix_units(core: StructureAlgebra, prims: Sequence[tuple], rad_span: EchelonBasis) -> dict:
+    """Matrix units e_ab of one split block from its primitive idempotents.
+
+    For t > 0, x = f0*b_i*ft is taken at the first basis vector b_i whose
+    product lies outside the radical.  x is then invertible modulo the
+    radical and f0*A*f0 is local, so x*y = f0 has a solution y in ft*A*f0,
+    and y*x = ft follows.  The units are e_ab = y_a*x_b (x_0 = y_0 = f0).
+    """
     k = len(prims)
-    units = {(0, 0): prims[0]}
-    firsts = {0: prims[0]}   # e_{0,t}
-    backs = {0: prims[0]}    # e_{t,0}
+    f0 = prims[0]
+    firsts = {0: f0}   # e_{0,t}
+    backs = {0: f0}    # e_{t,0}
     for t in range(1, k):
-        f0, ft = prims[0], prims[t]
+        ft = prims[t]
         x = None
         for i in range(core.dim):
             candidate = core.mul(f0, core.mul(core.basis_vector(i), ft))
-            if not _vec_is_zero(candidate):
+            if not rad_span.contains(_vec_to_dict(candidate)):
                 x = candidate
                 break
         if x is None:
@@ -653,12 +670,15 @@ def _matrix_units(core: StructureAlgebra, prims: Sequence[tuple]) -> dict:
             raise InternalCheckError("matrix-unit pair fails y*x = f")
         firsts[t] = x
         backs[t] = y
-    for a in range(k):
-        for b in range(k):
-            units[(a, b)] = core.mul(backs[a], firsts[b])
+    units = {(a, b): core.mul(backs[a], firsts[b]) for a in range(k) for b in range(k)}
     for a in range(k):
         if units[(a, a)] != prims[a]:
             raise InternalCheckError("diagonal matrix unit differs from its idempotent")
+    zero = tuple([ZERO] * core.dim)
+    for (a, b), u in units.items():
+        for (c, d), v in units.items():
+            if core.mul(u, v) != (units[(a, d)] if b == c else zero):
+                raise InternalCheckError("matrix units break the relations")
     return units
 
 
@@ -694,32 +714,35 @@ def _newton_idempotent(core: StructureAlgebra, u: tuple, max_iter: int) -> tuple
     return u
 
 
-def wedderburn_complement(algebra: FiniteDimAlgebra, *, seed: int = 0) -> WedderburnData:
-    """Split complement of the radical, with lifted block matrix units.
+def wedderburn_complement(algebra: FiniteDimAlgebra) -> WedderburnData:
+    """Split complement of the radical, with block matrix units.
 
     Primitive idempotents are computed in the semisimple quotient, lifted
     one at a time through the radical with the cubic Newton iteration
     (inside the corner cut out by the previously lifted ones, which keeps
-    the family orthogonal), and the quotient's matrix units are lifted
-    along them.  All the defining identities are re-checked exactly.
+    the family orthogonal), and each block's matrix units are then found
+    in the algebra itself, between the lifted idempotents.  The split
+    search draws its candidates from one fixed stream, so the result is
+    the same on every run.  All the defining identities are re-checked
+    exactly.
     """
     core = algebra.core
-    rad = radical_coords(core)
-    degree = nilpotence_degree_coords(core, rad)
+    rad, degree = _radical(core)
+    rad_span, rad_reps = _coord_span(rad)
     bar, project, section = quotient_by_ideal(core, rad)
-    central_bar = central_primitive_idempotents_coords(bar)
     blocks_bar = [
-        ( _primitive_idempotents(bar, e_bar, seed=seed), e_bar )
-        for e_bar in central_bar
+        _primitive_idempotents(bar, e_bar) for e_bar in central_primitive_idempotents_coords(bar)
     ]
 
     max_iter = max(4, degree.bit_length() + 2)
-    lifted_prims = []      # flat, in block order
-    block_slices = []
+    block_units = []
+    idempotent_vectors = []  # one per block: the sum of its lifted idempotents
+    lifted_prims = []
     running = tuple([ZERO] * core.dim)
     one = core.unit
-    for prims_bar, _e_bar in blocks_bar:
-        start = len(lifted_prims)
+    for prims_bar in blocks_bar:
+        prims = []
+        block_idem = tuple([ZERO] * core.dim)
         for p_bar in prims_bar:
             shield = _vec_sub(one, running)
             u = core.mul(shield, core.mul(section(p_bar), shield))
@@ -730,54 +753,13 @@ def wedderburn_complement(algebra: FiniteDimAlgebra, *, seed: int = 0) -> Wedder
                 if not _vec_is_zero(core.mul(f, g)) or not _vec_is_zero(core.mul(g, f)):
                     raise InternalCheckError("lifted idempotents are not orthogonal")
             lifted_prims.append(f)
+            prims.append(f)
+            block_idem = _vec_add(block_idem, f)
             running = _vec_add(running, f)
-        block_slices.append((start, len(lifted_prims)))
+        block_units.append(_matrix_units(core, prims, rad_span))
+        idempotent_vectors.append(block_idem)
     if running != core.unit:
         raise InternalCheckError("lifted idempotents do not sum to the identity")
-
-    block_units = []
-    for (prims_bar, _e_bar), (start, stop) in zip(blocks_bar, block_slices):
-        prims = lifted_prims[start:stop]
-        if len(prims) == 1:
-            block_units.append({(0, 0): prims[0]})
-            continue
-        units_bar = _matrix_units(bar, prims_bar)
-        lifted = {}
-        f0 = prims[0]
-        inv_cache = {}
-        for t in range(1, len(prims)):
-            ft = prims[t]
-            x = core.mul(f0, core.mul(section(units_bar[(0, t)]), ft))
-            y = core.mul(ft, core.mul(section(units_bar[(t, 0)]), f0))
-            u = core.mul(x, y)
-            nu = _vec_sub(f0, u)
-            inv = f0
-            power = nu
-            while not _vec_is_zero(power):
-                inv = _vec_add(inv, power)
-                power = core.mul(power, nu)
-            inv_cache[t] = (core.mul(inv, x), y)
-        lifted[(0, 0)] = f0
-        forwards = {0: f0}
-        backs = {0: f0}
-        for t, (e0t, et0) in inv_cache.items():
-            forwards[t] = e0t
-            backs[t] = et0
-        for a in range(len(prims)):
-            for b in range(len(prims)):
-                lifted[(a, b)] = core.mul(backs[a], forwards[b])
-        for a in range(len(prims)):
-            if lifted[(a, a)] != prims[a]:
-                raise InternalCheckError("lifted diagonal unit differs from its idempotent")
-        for a in range(len(prims)):
-            for b in range(len(prims)):
-                for c in range(len(prims)):
-                    for d in range(len(prims)):
-                        product = core.mul(lifted[(a, b)], lifted[(c, d)])
-                        expected = lifted[(a, d)] if b == c else tuple([ZERO] * core.dim)
-                        if product != expected:
-                            raise InternalCheckError("lifted matrix units break the relations")
-        block_units.append(lifted)
 
     complement_vectors = [u for units in block_units for u in units.values()]
     comp_span, comp_reps = _coord_span(sorted(complement_vectors))
@@ -789,17 +771,10 @@ def wedderburn_complement(algebra: FiniteDimAlgebra, *, seed: int = 0) -> Wedder
                 raise InternalCheckError("complement is not closed under multiplication")
     if not comp_span.contains(_vec_to_dict(core.unit)):
         raise InternalCheckError("complement does not contain the identity")
-    rad_span, rad_reps = _coord_span(rad)
     combined, _ = _coord_span(list(comp_reps) + list(rad_reps))
     if combined.dimension != core.dim:
         raise InternalCheckError("complement plus radical do not fill the algebra")
 
-    idempotent_vectors = []
-    for units, (start, stop) in zip(block_units, block_slices):
-        total = tuple([ZERO] * core.dim)
-        for a in range(stop - start):
-            total = _vec_add(total, units[(a, a)])
-        idempotent_vectors.append(total)
     for i, e in enumerate(idempotent_vectors):
         for j, f in enumerate(idempotent_vectors):
             product = core.mul(e, f)

@@ -69,7 +69,6 @@ class PipelineConfig:
     certificate_window: tuple = (1, 6)
     basis_cap: int = 20000
     closure_level_cap: int = 30
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -230,7 +229,7 @@ def build_radical_split(source: AlgebraPresentation, config: PipelineConfig,
     algebra = close_to_fdalg(
         source, level_cap=config.closure_level_cap, basis_cap=config.basis_cap, store=store
     )
-    decomposition = wedderburn_complement(algebra, seed=config.seed)
+    decomposition = wedderburn_complement(algebra)
     bars, rads = [], []
     for g in source.generators:
         bar, rad = decompose_element(algebra, decomposition, g)

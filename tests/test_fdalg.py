@@ -8,6 +8,7 @@ from gkgrowth._ratio import QQ
 from gkgrowth.algebras import AlgebraPresentation
 from gkgrowth.errors import NonStabilizingError, NotSplitOverBaseError
 from gkgrowth.fdalg import (
+    _radical,
     _trace_form,
     central_primitive_idempotents,
     close_to_fdalg,
@@ -269,6 +270,15 @@ def test_rational_roots():
     assert rational_roots(poly) == []
 
 
+def transvection_product(ring, n, moves):
+    """(P, P^-1) for P the product of the transvections I + c*E_ij, ((i, j), c) in moves."""
+    conj, inv = Matrix.identity(ring, n), Matrix.identity(ring, n)
+    for (i, j), c in moves:
+        conj = conj * Matrix.elementary(ring, n, i, j, c) + conj
+        inv = inv - Matrix.elementary(ring, n, i, j, c) * inv
+    return conj, inv
+
+
 @st.composite
 def conjugated_algebras(draw):
     """UT_k or M_k (k = 2, 3) over QQ or QQ(x), conjugated by an integer
@@ -278,10 +288,7 @@ def conjugated_algebras(draw):
     full = draw(st.booleans())
     pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
     moves = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(-3, 3)), max_size=4))
-    conj, inv = Matrix.identity(ring, k), Matrix.identity(ring, k)
-    for (i, j), c in moves:
-        conj = conj * Matrix.elementary(ring, k, i, j, c) + conj
-        inv = inv - Matrix.elementary(ring, k, i, j, c) * inv
+    conj, inv = transvection_product(ring, k, moves)
     gens = [Matrix.elementary(ring, k, i, j) for i in range(k) for j in range(k)
             if full or i <= j]
     if ring is F:
@@ -316,14 +323,173 @@ def test_pivot_read_coordinates_reconstruct_every_product(algebra):
 
 
 def test_diagonal_algebras_split_for_every_seed():
+    # The seed shuffles the diagonal; the split search itself has no seed.
     for d in range(1, 13):
         for seed in range(5):
             entries = list(range(1, d + 1))
             random.Random(seed).shuffle(entries)
             pres = AlgebraPresentation(Q, d, [Matrix.diagonal(Q, entries)], f"diag(1..{d})")
             algebra = close_to_fdalg(pres)
-            data = wedderburn_complement(algebra, seed=seed)
+            data = wedderburn_complement(algebra)
             assert len(data.idempotents) == d
             assert sorted(data.idempotents, key=Matrix.sort_key) == sorted(
                 (Matrix.elementary(Q, d, i, i) for i in range(d)), key=Matrix.sort_key
             )
+
+
+def dual_number_matrices(k, moves):
+    """M_k(QQ[eps]/eps^2) as 2k x 2k matrices, conjugated by the integer
+    change of basis ``transvection_product(Q, 2k, moves)``, so that the
+    closure's canonical basis no longer lines up with the matrix units."""
+    n = 2 * k
+    conj, inv = transvection_product(Q, n, moves)
+    assert conj * inv == Matrix.identity(Q, n)
+    # Entry (2a + s, 2b + t) of E_ab (x) m is m[s][t].
+    gens = [Matrix.elementary(Q, n, 2 * a, 2 * b) + Matrix.elementary(Q, n, 2 * a + 1, 2 * b + 1)
+            for a in range(k) for b in range(k)]
+    gens.append(sum((Matrix.elementary(Q, n, 2 * a, 2 * a + 1) for a in range(k)),
+                    Matrix.zeros(Q, n, n)))
+    return AlgebraPresentation(Q, n, [conj * g * inv for g in gens], f"M{k}(dual)")
+
+
+def random_moves(n, rng):
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return [(rng.choice(pairs), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(1, 5))]
+
+
+@pytest.mark.parametrize("k, cases", [(2, 40), (3, 8)])
+def test_matrix_units_over_dual_numbers_avoid_the_radical(k, cases):
+    # A first nonzero f0*b_i*ft can lie in the radical, where x*y = f0 has
+    # no solution; the units must come from a product outside it.
+    rng = random.Random(k)
+    identity = Matrix.identity(Q, 2 * k)
+    for _ in range(cases):
+        algebra = close_to_fdalg(dual_number_matrices(k, random_moves(2 * k, rng)))
+        assert algebra.dim == 2 * k * k
+        data = wedderburn_complement(algebra)
+        assert len(data.radical_basis) == k * k
+        assert data.nilpotence_degree == 2
+        assert len(data.complement_basis) == k * k
+        assert data.idempotents == (identity,)
+        (units,) = data.block_units_coords
+        units = {pos: algebra.from_coords(v) for pos, v in units.items()}
+        assert sorted(units) == [(a, b) for a in range(k) for b in range(k)]
+        zero = Matrix.zeros(Q, 2 * k, 2 * k)
+        for (a, b), u in units.items():
+            for (c, d), v in units.items():
+                assert u * v == (units[(a, d)] if b == c else zero)
+        assert sum((units[(a, a)] for a in range(k)), zero) == identity
+
+
+def quaternion_pres(a, b):
+    """H(a, b) by the left regular representation of i and j on 1, i, j, ij."""
+    left_i = Matrix(Q, [[0, a, 0, 0], [1, 0, 0, 0], [0, 0, 0, a], [0, 0, 1, 0]])
+    left_j = Matrix(Q, [[0, 0, b, 0], [0, 0, 0, -b], [1, 0, 0, 0], [0, -1, 0, 0]])
+    return AlgebraPresentation(Q, 4, [left_i, left_j], f"H({a},{b})")
+
+
+def norm_form_has_a_zero(a, b, bound=12):
+    """Brute force: a*x^2 + b*y^2 = z^2 with (x, y) != (0, 0) and |x|, |y| <= bound."""
+    from math import isqrt
+
+    for x in range(bound + 1):
+        for y in range(bound + 1):
+            value = a * x * x + b * y * y
+            if (x or y) and value >= 0 and isqrt(value) ** 2 == value:
+                return True
+    return False
+
+
+def test_quaternion_splits_agree_with_the_norm_form():
+    values = (-7, -3, -2, -1, 2, 3, 5, 7)
+    split = set()
+    for i, a in enumerate(values):
+        for b in values[i:]:
+            algebra = close_to_fdalg(quaternion_pres(a, b))
+            assert algebra.dim == 4
+            try:
+                data = wedderburn_complement(algebra)
+            except NotSplitOverBaseError:
+                continue
+            # A split H(a, b) is M_2(QQ): two primitive idempotents in one block.
+            assert len(data.idempotents) == 1 and len(data.block_units_coords[0]) == 4
+            assert norm_form_has_a_zero(a, b), (a, b)
+            split.add((a, b))
+    # The converse is not asserted: the search can still miss a split
+    # algebra and raise NotSplitOverBaseError.
+    # Splits that only the search's candidates beyond the corner basis find.
+    assert {(-2, 3), (2, 7), (-7, 2)} <= split
+    with pytest.raises(NotSplitOverBaseError):
+        wedderburn_complement(close_to_fdalg(quaternion_pres(-1, -1)))
+    for a, b in ((-2, 3), (2, 7)):
+        first = wedderburn_complement(close_to_fdalg(quaternion_pres(a, b)))
+        assert wedderburn_complement(close_to_fdalg(quaternion_pres(a, b))) == first
+
+
+def sympy_structure(gens):
+    """(dim A, dim rad A, nilpotence degree of rad A) by sympy, from scratch.
+
+    A is the unital span closure of the generators.  In characteristic 0
+    the radical of a matrix algebra is {a in A : tr(a*b) = 0 for all b in
+    A}, the kernel of the natural trace form (not the regular one the
+    library uses).
+    """
+    import sympy
+
+    n = gens[0].rows
+    ident = sympy.eye(n)
+
+    def basis_of(mats):
+        if not mats:
+            return []
+        stacked = sympy.Matrix([list(m) for m in mats])
+        return [sympy.Matrix(n, n, list(row)) for row in stacked.rowspace()]
+
+    basis = [ident]
+    while True:
+        grown = basis_of(basis + [g * b for g in gens for b in basis])
+        if len(grown) == len(basis):
+            break
+        basis = grown
+    gram = sympy.Matrix(len(basis), len(basis), lambda i, j: (basis[i] * basis[j]).trace())
+    rad = [sum((c * m for c, m in zip(v, basis)), sympy.zeros(n, n)) for v in gram.nullspace()]
+    degree, power = 1, rad
+    while power:
+        degree += 1
+        power = basis_of([u * v for u in power for v in rad])
+        power = [m for m in power if any(m)]
+    return len(basis), len(rad), degree
+
+
+def test_structure_dimensions_match_a_sympy_oracle():
+    import sympy
+
+    seen = set()
+    for case in range(40):
+        rng = random.Random(case)
+        n = rng.choice((2, 3, 4))
+        # Diagonal entries from {0, 1} repeat, so the radical is often
+        # nonzero; below the diagonal the shape decides: upper triangular,
+        # block upper triangular, or free.
+        shape = rng.choice(("upper", "blocks", "free"))
+        cut = rng.randrange(1, n)
+        gens = []
+        for _ in range(rng.choice((1, 2, 2, 3))):
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    below = j < i and not (shape == "free" or (shape == "blocks" and
+                                                               (i < cut) == (j < cut)))
+                    if i == j:
+                        rows[i][j] = rng.choice((0, 1))
+                    elif not below:
+                        rows[i][j] = rng.choice((-2, -1, 0, 0, 1, 2))
+            gens.append(rows)
+        expected = sympy_structure([sympy.Matrix(rows) for rows in gens])
+        algebra = close_to_fdalg(AlgebraPresentation(Q, n, [Matrix(Q, rows) for rows in gens]))
+        rad = radical(algebra)
+        assert (algebra.dim, len(rad), nilpotence_degree(algebra, rad)) == expected, gens
+        assert _radical(algebra.core)[1] == expected[2]
+        seen.add(expected)
+    # The corpus reaches nonzero radicals of several nilpotence degrees.
+    assert {degree for _, _, degree in seen} >= {1, 2, 3}
