@@ -14,7 +14,7 @@ exbig.  Presentations are read from small text documents::
 
 Each ``generator:`` is followed by ``size`` lines of ``size``
 comma-separated entries in the polynomial expression grammar (with ``/``
-division allowed for rational-function rings).
+division allowed for rational-function rings).  Documents are UTF-8 text.
 
 Exit codes: 0 success, 2 malformed input, 3 resource cap exceeded,
 4 semisimple quotient does not split over the base field, 5 internal
@@ -23,13 +23,18 @@ consistency failure (a bug, never a property of the input).
 The same document and configuration always produce byte-identical
 output; the optional cache (``--cache-dir``) stores the rendered output
 keyed by a content hash of (gkgrowth version, cache schema, command,
-document, configuration) and replays it verbatim.  Entries are written to
+document, configuration) and replays it verbatim.  Each document is read
+once, and the bytes hashed are the bytes parsed.  Entries are written to
 a temporary file and renamed into place.
+
+``main(argv)`` may be called any number of times in one process; the calls
+share one argument parser, built on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -155,12 +160,24 @@ def parse_presentation_document(text: str) -> PresentationDocument:
     return PresentationDocument(label or "algebra", ring, size, tuple(generators))
 
 
-def load_presentation(path: str) -> AlgebraPresentation:
+def _read_payload(path: str) -> bytes:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def _parse_payload(payload: bytes, path: str) -> AlgebraPresentation:
+    """Parse the bytes of the document at ``path``, exactly as read once."""
+    try:
+        text = payload.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     return parse_presentation_document(text).presentation()
+
+
+def load_presentation(path: str) -> AlgebraPresentation:
+    return _parse_payload(_read_payload(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +280,6 @@ def _with_cache(command: str, payloads: Sequence[bytes], config: RunConfig, comp
     _emit(text, config)
 
 
-def _read_payload(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -279,7 +289,7 @@ def _cmd_growth(args) -> int:
     payload = _read_payload(args.file)
 
     def compute() -> str:
-        pres = load_presentation(args.file)
+        pres = _parse_payload(payload, args.file)
         table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap)
         if config.out_format == "csv":
             rows = [f"{n},{dim}" for n, dim in enumerate(table.dims)]
@@ -303,7 +313,7 @@ def _cmd_gkdim(args) -> int:
     payload = _read_payload(args.file)
 
     def compute() -> str:
-        pres = load_presentation(args.file)
+        pres = _parse_payload(payload, args.file)
         table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap)
         estimate = gk_estimate(table, config.window)
         if config.out_format == "csv":
@@ -321,8 +331,8 @@ def _cmd_compare(args) -> int:
     payloads = [_read_payload(args.file_a), _read_payload(args.file_b)]
 
     def compute() -> str:
-        pres_a = load_presentation(args.file_a)
-        pres_b = load_presentation(args.file_b)
+        pres_a = _parse_payload(payloads[0], args.file_a)
+        pres_b = _parse_payload(payloads[1], args.file_b)
         window = config.window or (1, config.max_level)
         if window[1] > config.max_level:
             raise InputError("window upper bound exceeds --max-n")
@@ -341,7 +351,7 @@ def _cmd_charclosure(args) -> int:
     payload = _read_payload(args.file)
 
     def compute() -> str:
-        pres = load_presentation(args.file)
+        pres = _parse_payload(payload, args.file)
         word_length = config.word_length or pres.size * pres.size
         closure = trace_algebra_generators(pres, word_length)
         base_table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap)
@@ -376,7 +386,7 @@ def _cmd_cayley(args) -> int:
     payload = _read_payload(args.file)
 
     def compute() -> str:
-        pres = load_presentation(args.file)
+        pres = _parse_payload(payload, args.file)
         subjects = list(pres.generators)
         subjects += [a * b for a in pres.generators for b in pres.generators]
         results = []
@@ -402,7 +412,7 @@ def _cmd_pipeline(args) -> int:
     payload = _read_payload(args.file)
 
     def compute() -> str:
-        pres = load_presentation(args.file)
+        pres = _parse_payload(payload, args.file)
         window = config.window or (min(4, config.max_level), config.max_level)
         pipeline_config = PipelineConfig(
             max_level=config.max_level,
@@ -515,10 +525,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call of the process shares, built on first use.
+
+    ``parse_args`` leaves a parser unchanged, so reusing it spares each call
+    the cost of rebuilding the tree; building it here rather than at import
+    keeps ``import gkgrowth.cli`` as cheap as before.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

@@ -2,6 +2,9 @@ import itertools
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkgrowth._ratio import QQ
 from gkgrowth.charpoly import (
@@ -156,3 +159,41 @@ def test_upoly_evaluation_and_power():
     assert poly.evaluate_matrix(mat).is_zero
     assert poly ** 2 == upoly(Q, 1, 0, -2, 0, 1)
     assert str(upoly(Q, 2, -1, 1)) == "t^2 + (-1)*t + (2)"
+
+
+SYMPY_VARS = sympy.symbols("x1 x2")
+COEFFS = st.sampled_from([QQ(1), QQ(-1), QQ(2), QQ(-3), QQ(1, 2), QQ(-3, 2), QQ(2, 3)])
+DEGREE_2_MONOMIALS = st.sampled_from(
+    [(a, b) for a in range(3) for b in range(3) if a + b <= 2]
+)
+
+
+@st.composite
+def degree_2_matrices(draw):
+    size = draw(st.integers(1, 4))
+
+    def entry():
+        return Poly(R2, draw(st.dictionaries(DEGREE_2_MONOMIALS, COEFFS, max_size=3)))
+
+    return Matrix(R2, [[entry() for _ in range(size)] for _ in range(size)])
+
+
+def to_sympy(poly):
+    x1, x2 = SYMPY_VARS
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * x1 ** a * x2 ** b
+         for (a, b), c in poly.items_unordered()),
+        sympy.Integer(0),
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(degree_2_matrices())
+def test_char_poly_matches_sympy_charpoly(mat):
+    t = sympy.Symbol("t")
+    want = sympy.Matrix([[to_sympy(e) for e in row] for row in mat.rows]).charpoly(t)
+    got = char_poly(mat)
+    assert got.degree == mat.nrows
+    # sympy lists coefficients highest degree first; UPoly lowest first.
+    coeffs = [to_sympy(got.coefficient(k)) for k in range(mat.nrows, -1, -1)]
+    assert [sympy.expand(c) for c in want.all_coeffs()] == [sympy.expand(c) for c in coeffs]

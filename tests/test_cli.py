@@ -1,11 +1,13 @@
 import argparse
 import json
+import random
 import re
+import shutil
 from pathlib import Path
 
 import pytest
 
-from gkgrowth.cli import _add_common, main, parse_presentation_document
+from gkgrowth.cli import _add_common, load_presentation, main, parse_presentation_document
 from gkgrowth.errors import InputError
 from gkgrowth.poly import PolyRing
 
@@ -366,3 +368,129 @@ def test_pipeline_exit_code_for_each_demo(doc, capsys):
     # The pipeline refuses a polynomial ring (exit 2); every other document
     # reduces at --max-n 8.
     assert code == (2 if isinstance(ring, PolyRing) else 0)
+
+
+NOT_UTF8 = b"label: a\nring: rationals\nsize: 1\ngenerator:\n\xff\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["growth", "{bad}"],
+        ["gkdim", "{bad}"],
+        ["charclosure", "{bad}"],
+        ["cayley", "{bad}"],
+        ["pipeline", "{bad}"],
+        ["compare", "{bad}", "{good}"],
+        ["compare", "{good}", "{bad}"],
+    ],
+    ids=lambda argv: "-".join(a.strip("{}") for a in argv),
+)
+def test_a_document_that_is_not_utf8_is_malformed_input(write, capsys, tmp_path, argv):
+    bad = tmp_path / "bad.alg"
+    bad.write_bytes(NOT_UTF8)
+    paths = {"{bad}": str(bad), "{good}": write("good.alg", POLY_1VAR)}
+    cache = tmp_path / "cache"
+    code, out, err = run_cli(capsys, *[paths.get(a, a) for a in argv], "--cache-dir", str(cache))
+    assert code == 2 and out == ""
+    assert err == f"input error: {bad} is not UTF-8 text: invalid start byte at byte 44\n"
+    assert list(cache.iterdir()) == []
+    with pytest.raises(InputError, match="not UTF-8 text"):
+        load_presentation(str(bad))
+
+
+def test_the_cache_entry_holds_the_output_of_the_bytes_hashed(write, capsys, tmp_path,
+                                                              monkeypatch):
+    import gkgrowth.cli as cli
+
+    _, want, _ = run_cli(capsys, "growth", write("a.alg", POLY_1VAR), "--max-n", "3")
+    _, edited, _ = run_cli(capsys, "growth", write("b.alg", POLY_2VAR), "--max-n", "3")
+    assert want != edited
+    path = write("doc.alg", POLY_1VAR)
+    read = cli._read_payload
+
+    def read_then_edit(name):
+        payload = read(name)
+        Path(name).write_text(POLY_2VAR, encoding="utf-8")  # edited after it was hashed
+        return payload
+
+    monkeypatch.setattr(cli, "_read_payload", read_then_edit)
+    cache = tmp_path / "cache"
+    code, out, _ = run_cli(capsys, "growth", path, "--max-n", "3", "--cache-dir", str(cache))
+    assert code == 0 and out == want
+    [entry] = cache.iterdir()
+    assert entry.read_text(encoding="utf-8") == want
+
+
+def parser_reuse_sequence(state: Path) -> list:
+    """Seeded shuffled calls: reports on every demo, caching, --out, --window, usage errors."""
+    rng = random.Random(20)
+    docs = [str(doc) for doc in DEMO_DOCS]
+    mat2 = next(doc for doc in docs if doc.endswith("mat2.alg"))
+    calls = [[sub, doc] for doc in docs for sub in ("growth", "gkdim", "cayley")]
+    calls += [["compare", a, b] for a, b in zip(docs, docs[1:] + docs[:1])]
+    calls += [["exbig", "2"], ["pipeline", mat2]]
+    sequence = []
+    for index, argv in enumerate(calls):
+        argv = argv + ["--max-n", "8"]
+        if rng.random() < 0.3:
+            argv += ["--window", "4:8"]
+        if rng.random() < 0.3:
+            argv += ["--out", str(state / f"out-{index}")]
+        if rng.random() < 0.5:
+            argv += ["--cache-dir", str(state / "cache")]
+            sequence.append(argv)  # and once more, as a replay
+        sequence.append(argv)
+    sequence += [
+        ["growth", mat2, "--seed", "3"],
+        ["pipeline", mat2, "--seed", "3"],
+        ["gkdim", str(state / "missing.alg")],
+        ["compare", mat2, str(state / "missing.alg")],
+    ]
+    rng.shuffle(sequence)
+    return sequence
+
+
+def test_reusing_the_parser_leaks_no_state(capsys, tmp_path, monkeypatch):
+    import gkgrowth.cli as cli
+
+    builds = []
+    build = cli.build_parser
+
+    def counted_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    state = tmp_path / "state"
+    sequence = parser_reuse_sequence(state)
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        out_file = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+        written = out_file.read_bytes() if out_file is not None else None
+        return code, captured.out, captured.err, written
+
+    def run_sequence(fresh_parser_per_call: bool) -> list:
+        shutil.rmtree(state, ignore_errors=True)
+        state.mkdir()
+        results = []
+        cli._parser.cache_clear()
+        for argv in sequence:
+            if fresh_parser_per_call:
+                cli._parser.cache_clear()
+            results.append(call(argv))
+        return results
+
+    fresh = run_sequence(fresh_parser_per_call=True)
+    assert len(builds) == len(sequence)
+    builds.clear()
+    shared = run_sequence(fresh_parser_per_call=False)
+    assert len(builds) == 1
+    for argv, want, got in zip(sequence, fresh, shared):
+        assert got == want, argv
+    assert {code for code, *_ in shared} == {0, 2}
