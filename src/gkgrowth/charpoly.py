@@ -6,16 +6,20 @@ divides by the integers 1..d and is therefore exact over any QQ-algebra.
 multiplication on the standard matrix units and checks the classical
 identity p = c^d between the two characteristic polynomials; a mismatch
 is an arithmetic bug, never a property of the input.
+
+``nonconstant_coefficients`` harvests the central scalars that the
+characteristic closure and the reduction pipeline adjoin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._ratio import QQ
 from .errors import InternalCheckError, ShapeMismatchError
 from .matrices import Matrix
+from .poly import RationalField
 
 
 @dataclass(frozen=True)
@@ -142,6 +146,25 @@ def char_poly(mat: Matrix) -> UPoly:
     if not acc.is_zero:
         raise InternalCheckError("Faddeev-LeVerrier closing matrix is nonzero (arithmetic bug)")
     return UPoly.from_coeffs(ring, list(reversed(cs)))
+
+
+def is_constant_element(ring, value) -> bool:
+    """Whether a ring element is a rational number."""
+    return isinstance(ring, RationalField) or value.is_constant
+
+
+def nonconstant_coefficients(words: Iterable[Matrix]) -> list:
+    """The nonconstant lower coefficients of the words' characteristic
+    polynomials, each once, in order of first appearance."""
+    harvested = []
+    seen = set()
+    for word in words:
+        poly = char_poly(word)
+        for coeff in poly.coeffs[:-1]:
+            if coeff and not is_constant_element(poly.ring, coeff) and coeff not in seen:
+                seen.add(coeff)
+                harvested.append(coeff)
+    return harvested
 
 
 def determinant(mat: Matrix):

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from ._ratio import QQ
 from .algebras import AlgebraPresentation
-from .charpoly import char_poly
+from .charpoly import nonconstant_coefficients
 from .errors import CapExceededError
 from .matrices import Matrix
 from .poly import Poly, PolyRing, RatFuncField, RationalField
@@ -34,12 +34,6 @@ from .spans import (
 )
 
 DEFAULT_WORD_CAP = 5000
-
-
-def _element_is_constant(ring, value) -> bool:
-    if isinstance(ring, RationalField):
-        return True
-    return value.is_constant
 
 
 def _element_vecs(ring, values: Sequence) -> list:
@@ -96,17 +90,7 @@ def trace_algebra_generators(
     if word_length < 1:
         raise ValueError("word length must be at least 1")
     ring = pres.ring
-    harvested = []
-    seen = set()
-    for word in _generator_words(pres, word_length, word_cap):
-        poly = char_poly(word)
-        for coeff in poly.coeffs[:-1]:
-            if not coeff or _element_is_constant(ring, coeff):
-                continue
-            if coeff in seen:
-                continue
-            seen.add(coeff)
-            harvested.append(coeff)
+    harvested = nonconstant_coefficients(_generator_words(pres, word_length, word_cap))
     kept = []
     if harvested:
         basis = EchelonBasis()

@@ -12,18 +12,25 @@ The radical is the kernel of the trace form Tr(L_a L_b) of the left
 regular representation, which is exactly the radical in characteristic
 zero.  Its Gram matrix comes from the structure constants by Dickson's
 identity Tr(L_a L_b) = Tr(L_{ab}) (Cohen, Ivanyos and Wales, JPAA 1997),
-in O(dim^3).  Central primitive idempotents come from refining the unit
-by the spectral projectors of each center basis element, with no random
-search.  Semisimple quotients must split over QQ: a quotient that does
-not (an irrational-eigenvalue center, a division algebra block) raises
+in O(dim^3).
+
+Every idempotent comes from one spectral step: for u in a corner eAe and
+a rational root r of its minimal polynomial (t - r)^m * c, c is found by
+synthetic division and c(u)/c(r) is lifted by the Newton iteration
+u <- 3u^2 - 2u^3, which also lifts idempotents through the radical.
+
+Central primitive idempotents come from refining the unit by the primary
+idempotents of each center basis element, with no random search.
+Semisimple quotients must split over QQ: a quotient that does not (an
+irrational-eigenvalue center, a division algebra block) raises
 NotSplitOverBaseError instead of silently extending the base field.
 
 Each simple block is split into primitive idempotents in the semisimple
-quotient; the search tries the block's corner basis, then candidates
-drawn from one fixed pseudo-random stream, so every run gives the same
-answer.  The idempotents are lifted through the radical, and the block's
-matrix units are found in the algebra itself, between the lifted
-idempotents.
+quotient by the primary idempotents of corner elements; the search tries
+the block's corner basis, then candidates drawn from one fixed
+pseudo-random stream, so every run gives the same answer.  The
+idempotents are lifted through the radical, and the block's matrix units
+are found in the algebra itself, between the lifted idempotents.
 
 Every kernel, solve and coordinate computation runs on the one exact
 elimination engine, ``EchelonBasis``.
@@ -54,7 +61,7 @@ from .errors import (
     RingMismatchError,
 )
 from .matrices import Matrix
-from .poly import Poly, PolyRing, RatFuncField, uni_divmod, uni_gcd
+from .poly import Poly, PolyRing, RatFuncField, uni_gcd
 from .spans import (
     EXTENDED,
     EchelonBasis,
@@ -153,11 +160,12 @@ class StructureAlgebra:
             if len(powers) > self.dim + 1:
                 raise InternalCheckError("minimal polynomial exceeds the algebra dimension")
 
-    def evaluate(self, poly: Poly, u: tuple, unit: Optional[tuple] = None) -> tuple:
-        """Horner evaluation of a univariate polynomial at u."""
+    def evaluate(self, coeffs: Sequence, u: tuple, unit: Optional[tuple] = None) -> tuple:
+        """Horner evaluation at u of the polynomial with these coefficients,
+        lowest degree first."""
         one = self.unit if unit is None else unit
         acc = tuple([ZERO] * self.dim)
-        for c in reversed(poly.uni_coeffs()):
+        for c in reversed(coeffs):
             acc = self.mul(acc, u)
             if c:
                 acc = _vec_add(acc, _vec_scale(one, c))
@@ -450,22 +458,38 @@ def rational_roots(poly: Poly) -> list:
     return sorted(set(roots))
 
 
-def _uni_ext_gcd(a: Poly, b: Poly):
-    """(g, x, y) with x*a + y*b = g, g the monic gcd."""
-    ring = a.ring
-    r0, r1 = a, b
-    x0, x1 = ring.one, ring.zero
-    y0, y1 = ring.zero, ring.one
-    while not r1.is_zero:
-        q, r = uni_divmod(r0, r1)
-        r0, r1 = r1, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if r0.is_zero:
-        return r0, x0, y0
-    lead = r0.coefficient((r0.degree(),))
-    inv = QQ(1) / lead
-    return r0 * inv, x0 * inv, y0 * inv
+# ---------------------------------------------------------------------------
+# spectral idempotents
+
+
+def _spectral_idempotents(core: StructureAlgebra, u: tuple, e: tuple, mu: Poly):
+    """Primary idempotents of u in eAe, one per rational root of its
+    minimal polynomial mu, roots in increasing order.
+
+    For a root r write mu = (t - r)^m * c with c(r) != 0.  Then c(u)/c(r)
+    is 0 on the other primary components of QQ[u]e and 1 plus a nilpotent
+    on the r-component, so its Newton lift is the unique idempotent of
+    QQ[u]e congruent to it modulo the nilradical: the Lagrange projector
+    when mu is squarefree.  The lift's stationarity check verifies it.
+    """
+    if mu.degree() == 1:
+        yield e
+        return
+    for root in rational_roots(mu):
+        cofactor, multiplicity = mu.uni_coeffs(), 0
+        while True:
+            # Synthetic division by t - root: the quotient's coefficients from
+            # the top, then the remainder, which is the cofactor's value at root.
+            quotient = list(itertools.accumulate(reversed(cofactor), lambda a, c: a * root + c))
+            at_root = quotient.pop()
+            if at_root:
+                break
+            cofactor, multiplicity = quotient[::-1], multiplicity + 1
+        if len(cofactor) == 1:
+            yield e
+            continue
+        value = core.evaluate([c / at_root for c in cofactor], u, unit=e)
+        yield _newton_idempotent(core, value, multiplicity.bit_length() + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +500,7 @@ def central_primitive_idempotents_coords(core: StructureAlgebra) -> list:
     """Coordinates of the central primitive idempotents of a split
     semisimple algebra.
 
-    The unit is refined by the spectral projectors of each center basis
+    The unit is refined by the primary idempotents of each center basis
     element z in turn: inside each current idempotent e, z*e has a
     squarefree minimal polynomial (the center is semisimple) whose roots
     split e.  Afterwards every center element is a scalar on each
@@ -497,19 +521,13 @@ def central_primitive_idempotents_coords(core: StructureAlgebra) -> list:
             mu = core.min_poly(u, unit=e)
             if uni_gcd(mu, mu.derivative()).degree() != 0:
                 raise InternalCheckError("center element has a non-squarefree minimal polynomial")
-            roots = rational_roots(mu)
-            if len(roots) != mu.degree():
+            pieces = list(_spectral_idempotents(core, u, e, mu))
+            if len(pieces) != mu.degree():
                 raise NotSplitOverBaseError(
                     "the center's minimal polynomial has an irrational root; "
                     "the semisimple quotient does not split over QQ"
                 )
-            for r in roots:
-                value = e
-                for s in roots:
-                    if s != r:
-                        shifted = _vec_sub(u, _vec_scale(e, s))
-                        value = _vec_scale(core.mul(value, shifted), QQ(1) / (r - s))
-                refined.append(value)
+            refined.extend(pieces)
         idems = refined
     _verify_idempotent_family(core, idems, center)
     return sorted(idems)
@@ -526,10 +544,10 @@ def _center_coords(core: StructureAlgebra) -> list:
 
 
 def _verify_idempotent_family(core: StructureAlgebra, idems: Sequence[tuple], center):
+    # No separate idempotence check: for an orthogonal family summing to the
+    # unit, e = e * sum(idems) = e^2.
     total = tuple([ZERO] * core.dim)
     for e in idems:
-        if core.mul(e, e) != e:
-            raise InternalCheckError("spectral projector is not idempotent")
         total = _vec_add(total, e)
     if total != core.unit:
         raise InternalCheckError("central idempotents do not sum to the unit")
@@ -598,34 +616,9 @@ def _try_split(core, e, corner, rng):
     )
     for u in itertools.chain(corner, randoms):
         mu = core.min_poly(u, unit=e)
-        if mu.degree() < 2:
-            continue
-        for root in rational_roots(mu):
-            shifted = Poly.from_uni_coeffs(_T_RING, [-root, QQ(1)])
-            power = shifted
-            multiplicity = 1
-            while True:
-                q, r = uni_divmod(mu, power * shifted)
-                if not r.is_zero:
-                    break
-                power = power * shifted
-                multiplicity += 1
-            cofactor, r = uni_divmod(mu, power)
-            if not r.is_zero:
-                raise InternalCheckError("root multiplicity division failed")
-            if cofactor.degree() < 1:
-                continue  # mu is a power of (t - root): no splitting here
-            g, x, y = _uni_ext_gcd(power, cofactor)
-            if g.degree() != 0:
-                raise InternalCheckError("coprime factors with a nontrivial gcd")
-            # h = y*cofactor/g is 1 mod power and 0 mod cofactor.
-            h = y * cofactor * (QQ(1) / g.constant_value())
-            f = core.evaluate(h, u, unit=e)
-            if _vec_is_zero(f) or f == e:
-                continue
-            if core.mul(f, f) != f:
-                raise InternalCheckError("spectral splitting produced a non-idempotent")
-            return f
+        for f in _spectral_idempotents(core, u, e, mu):
+            if f != e:
+                return f
     return None
 
 

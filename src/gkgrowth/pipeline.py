@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 from ._ratio import QQ
 from .algebras import AlgebraPresentation, FiltrationStore, GrowthTable, growth_sequence
-from .charpoly import char_poly
+from .charpoly import is_constant_element, nonconstant_coefficients
 from .errors import CapExceededError, InputError
 from .fdalg import (
     FiniteDimAlgebra,
@@ -314,10 +314,15 @@ def _block_matrix(context: _PipelineContext, block_index: int, mat: Matrix) -> M
     return Matrix(ring, rows)
 
 
-def _is_constant_scalar(ring, value) -> bool:
-    if isinstance(ring, RationalField):
-        return True
-    return value.is_constant
+def _block_words(ring, size: int, gens: Sequence[Matrix], cutoff: int):
+    """The distinct products of 1..cutoff block generators, length by
+    length, each length in ``Matrix.sort_key`` order.  Each length is built
+    from the previous length's distinct words, so the work grows with the
+    number of distinct words, not as len(gens)^length."""
+    words = [Matrix.identity(ring, size)]
+    for _length in range(cutoff):
+        words = sorted({w * g for w in words for g in gens}, key=Matrix.sort_key)
+        yield from words
 
 
 def build_central_scalars(
@@ -337,19 +342,7 @@ def build_central_scalars(
             _block_matrix(context, block_index, g) for g in context.semisimple_parts
         ]
         block_gens = [g for g in block_gens if not g.is_zero]
-        harvested = []
-        seen = set()
-        words = [Matrix.identity(scalar_ring, size)]
-        for _length in range(1, cutoff + 1):
-            words = [w * g for w in words for g in block_gens]
-            for w in sorted(set(words), key=Matrix.sort_key):
-                for coeff in char_poly(w).coeffs[:-1]:
-                    if not coeff or _is_constant_scalar(scalar_ring, coeff):
-                        continue
-                    if coeff in seen:
-                        continue
-                    seen.add(coeff)
-                    harvested.append(coeff)
+        harvested = nonconstant_coefficients(_block_words(scalar_ring, size, block_gens, cutoff))
         per_block_scalars.append(tuple(harvested))
         idem = context.idempotents[block_index]
         for value in harvested:
@@ -537,7 +530,7 @@ def build_commutative_witness(
         seen = set()
         for z in context.center_matrices:
             value = scalar_ring.coerce(_block_scalar_of(context, block_index, z))
-            if not value or _is_constant_scalar(scalar_ring, value):
+            if not value or is_constant_element(scalar_ring, value):
                 continue
             if value in seen:
                 continue

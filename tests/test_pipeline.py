@@ -109,6 +109,18 @@ def test_pipeline_full_matrix_block_over_rationals():
     assert [w.name for w in report.words] == ["e0"]
 
 
+def test_pipeline_full_matrix_block_of_size_three_over_rationals(deadline):
+    # The central-scalars stage walks block words up to length 9 over nine
+    # generators; only the distinct words of each length may be extended,
+    # or the walk makes 9^9 products.
+    deadline(30)
+    gens = [Matrix.elementary(Q, 3, i, j) for i in range(3) for j in range(3)]
+    report = run_pipeline(AlgebraPresentation(Q, 3, gens, "mat3"), FAST)
+    assert report.witness_estimate.value == QQ(0)
+    assert report.integer_verdict
+    split = next(s for s in report.stages if s.stage_id == "radical-split")
+    assert split.provenance["idempotents"] == (Matrix.identity(Q, 3),)
+
 def test_pipeline_full_matrix_block_over_ratfunc():
     # One simple block of size 2 over QQ(x): the block characteristic
     # polynomials contribute genuine scalar generators.
