@@ -9,6 +9,9 @@ generator words up to a cutoff length.  The coefficients generate a
 central subalgebra over which the closure is module-finite; the cutoff
 is a heuristic (reports always state it), since no finite bound is
 canonical.
+
+Every QQ-span here takes ``spans.cleared_vecs`` over all three rings:
+scalars go through it as 1x1 matrices, and no span has a QQ(x) branch.
 """
 
 from __future__ import annotations
@@ -17,33 +20,24 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from ._ratio import QQ
 from .algebras import AlgebraPresentation
 from .charpoly import nonconstant_coefficients
 from .errors import CapExceededError
 from .matrices import Matrix
-from .poly import Poly, PolyRing, RatFuncField, RationalField
-from .spans import (
-    EXTENDED,
-    EchelonBasis,
-    cleared_numerator,
-    common_denominator,
-    matrix_to_vec,
-    membership_ratfunc,
-    poly_to_vec,
-)
+from .poly import Poly, PolyRing
+from .spans import EchelonBasis, cleared_vecs, extend_span
 
 DEFAULT_WORD_CAP = 5000
 
 
-def _element_vecs(ring, values: Sequence) -> list:
-    """Joint QQ-coordinates for ring elements (1x1-matrix keying)."""
-    if isinstance(ring, PolyRing):
-        return [poly_to_vec(v) for v in values]
-    if isinstance(ring, RatFuncField):
-        lcd = common_denominator(values)
-        return [poly_to_vec(cleared_numerator(v, lcd)) for v in values]
-    return [{(0, 0, 0, ()): v} for v in values if v]
+def _independent_scalars(ring, values: Sequence) -> list:
+    """The values outside the QQ-span of the earlier ones, in order.
+
+    Scalars take the matrix route as 1x1 matrices, so one ``cleared_vecs``
+    call coordinatizes them over every ring.
+    """
+    cells = [Matrix(ring, [[v]]) for v in values]
+    return extend_span(EchelonBasis(), cleared_vecs(cells), values)
 
 
 @dataclass(frozen=True)
@@ -91,12 +85,7 @@ def trace_algebra_generators(
         raise ValueError("word length must be at least 1")
     ring = pres.ring
     harvested = nonconstant_coefficients(_generator_words(pres, word_length, word_cap))
-    kept = []
-    if harvested:
-        basis = EchelonBasis()
-        for vec, value in zip(_element_vecs(ring, harvested), harvested):
-            if basis.insert(vec) == EXTENDED:
-                kept.append(value)
+    kept = _independent_scalars(ring, harvested)
     ident = Matrix.identity(ring, pres.size)
     closure = pres.adjoin([ident.scale(c) for c in kept], pres.label + "+trace")
     return TraceClosure(pres, word_length, tuple(kept), closure)
@@ -139,42 +128,21 @@ def module_finiteness_check(
     ring = pres.ring
     ident = Matrix.identity(ring, pres.size)
 
-    central = [ring.coerce(1) if not isinstance(ring, RationalField) else QQ(1)]
+    central = [ring.one]
     for degree in range(1, central_degree_cap + 1):
         for combo in combinations_with_replacement(closure.central_generators, degree):
             value = combo[0]
             for extra in combo[1:]:
                 value = value * extra
             central.append(value)
-    central_reps = []
-    if central:
-        basis = EchelonBasis()
-        for vec, value in zip(_element_vecs(ring, central), central):
-            if basis.insert(vec) == EXTENDED:
-                central_reps.append(value)
+    central_reps = _independent_scalars(ring, central)
+    per_word = len(central_reps)
 
-    use_coords = not isinstance(ring, RatFuncField)
-    span = EchelonBasis() if use_coords else None
-    span_mats: list = []
-    module_rank = 0
-
-    def in_span(mat: Matrix) -> bool:
-        if use_coords:
-            return span.contains(matrix_to_vec(mat))
-        if not span_mats:
-            return False
-        return membership_ratfunc(span_mats, mat) is not None
-
-    def admit(mat: Matrix):
-        for c in central_reps:
-            scaled = mat.scale(c)
-            if use_coords:
-                span.insert(matrix_to_vec(scaled))
-            else:
-                if not span_mats or membership_ratfunc(span_mats, scaled) is None:
-                    span_mats.append(scaled)
-
-    admit(ident)
+    # A QQ-basis of the module span, as matrices: the central multiples
+    # that extended it.  The identity admits every central representative.
+    span_mats = [ident.scale(c) for c in central_reps]
+    span_vecs: list = []  # their coordinates in the last length's clearing
+    span = EchelonBasis()
     module_rank = 1
     words = [ident]
     total_words = 0
@@ -183,13 +151,27 @@ def module_finiteness_check(
         total_words += len(words)
         if total_words > word_cap:
             raise CapExceededError(f"module check exceeded the word cap {word_cap}")
+        candidates = [w for w in sorted(set(words), key=Matrix.sort_key) if not w.is_zero]
+        multiples = [w.scale(c) for w in candidates for c in central_reps]
+        known = len(span_mats)
+        vecs = cleared_vecs(span_mats + multiples)
+        if vecs[:known] != span_vecs:
+            # A new common denominator rescales the span's coordinates.
+            span = EchelonBasis()
+            for vec in vecs[:known]:
+                span.insert(vec)
+        span_vecs = vecs[:known]
         new_at_this_length = 0
-        for w in sorted(set(words), key=Matrix.sort_key):
-            if w.is_zero or in_span(w):
+        for start in range(known, len(vecs), per_word):
+            # central_reps[0] is 1, so each word's first multiple is the word.
+            if span.contains(vecs[start]):
                 continue
-            admit(w)
-            module_rank += 1
+            for index in extend_span(span, vecs[start:start + per_word],
+                                     range(start, start + per_word)):
+                span_mats.append(multiples[index - known])
+                span_vecs.append(vecs[index])
             new_at_this_length += 1
+        module_rank += new_at_this_length
         if new_at_this_length == 0:
             return ModuleFinitenessReport(
                 True,

@@ -65,6 +65,7 @@ from .poly import Poly, PolyRing, RatFuncField, uni_gcd
 from .spans import (
     EXTENDED,
     EchelonBasis,
+    extend_span,
     field_coordinates,
     matrix_from_vec,
     matrix_to_field_vec,
@@ -100,6 +101,8 @@ def _vec_to_dict(u: tuple) -> dict:
 
 
 def _coord_span(vectors: Sequence[tuple]):
+    # Inline rather than ``extend_span``: structure theory makes hundreds of
+    # these calls on a few vectors each, where the extra call layer shows.
     basis = EchelonBasis()
     reps = []
     for v in vectors:
@@ -270,19 +273,12 @@ def _close_scalar_field(pres: AlgebraPresentation) -> FiniteDimAlgebra:
     ident = pres.identity
     basis_span = EchelonBasis()
     basis_span.insert(matrix_to_field_vec(ident))
-    reps = [ident]
     frontier = [ident]
     while frontier:
         products = sorted(
             {g * b for g in pres.generators for b in frontier}, key=Matrix.sort_key
         )
-        frontier = []
-        for mat in products:
-            if mat.is_zero:
-                continue
-            if basis_span.insert(matrix_to_field_vec(mat)) == EXTENDED:
-                frontier.append(mat)
-        reps.extend(frontier)
+        frontier = extend_span(basis_span, [matrix_to_field_vec(m) for m in products], products)
     snapshot = basis_span.snapshot()
     basis = []
     for row in snapshot.rows:

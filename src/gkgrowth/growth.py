@@ -34,7 +34,7 @@ from .algebras import (
 from .charpoly import determinant
 from .errors import InsufficientDataError, RingMismatchError
 from .matrices import Matrix
-from .spans import EXTENDED, EchelonBasis, cleared_vecs
+from .spans import EchelonBasis, cleared_vecs, extend_span
 
 DEFAULT_WINDOW = (1, 8)
 
@@ -280,12 +280,7 @@ def _certificate_tables(pres_small, pres_big, window, basis_cap, store):
 def span_representatives(mats: Sequence[Matrix]) -> list:
     """Canonical representative sublist spanning the QQ-span of ``mats``."""
     nonzero = sorted({m for m in mats if not m.is_zero}, key=Matrix.sort_key)
-    basis = EchelonBasis()
-    reps = []
-    for vec, mat in zip(cleared_vecs(nonzero), nonzero):
-        if basis.insert(vec) == EXTENDED:
-            reps.append(mat)
-    return reps
+    return extend_span(EchelonBasis(), cleared_vecs(nonzero), nonzero)
 
 
 def verify_bimodule_certificate(

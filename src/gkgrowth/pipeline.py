@@ -36,7 +36,6 @@ from .algebras import AlgebraPresentation, FiltrationStore, GrowthTable, growth_
 from .charpoly import is_constant_element, nonconstant_coefficients
 from .errors import CapExceededError, InputError
 from .fdalg import (
-    FiniteDimAlgebra,
     WedderburnData,
     close_to_fdalg,
     decompose_element,
@@ -56,6 +55,12 @@ from .poly import RatFuncField, RationalField
 from .spans import EchelonBasis, cleared_vecs, field_coordinates
 
 WORD_ENUMERATION_CAP = 200_000
+# Filtration levels of the center stage: the semisimple part's center is
+# read off level CENTER_LEVEL, the module witness is level MODULE_LEVEL.
+CENTER_LEVEL = 4
+MODULE_LEVEL = 4
+# Level cap of the scalar-field span closure behind the radical split.
+CLOSURE_LEVEL_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -63,12 +68,9 @@ class PipelineConfig:
     max_level: int = 12
     window: tuple = (4, 12)
     word_length: Optional[int] = None      # per-block default: block size squared
-    center_level: int = 4
-    module_level: int = 4
     membership_level: int = 6
     certificate_window: tuple = (1, 6)
     basis_cap: int = 20000
-    closure_level_cap: int = 30
 
 
 @dataclass(frozen=True)
@@ -212,7 +214,6 @@ def _q_kernel_matrices(candidates: Sequence[Matrix], constraints) -> list:
 
 @dataclass
 class _PipelineContext:
-    algebra: FiniteDimAlgebra
     decomposition: WedderburnData
     semisimple_parts: tuple
     radical_parts: tuple
@@ -220,14 +221,12 @@ class _PipelineContext:
     block_unit_matrices: tuple  # per block: dict (a, b) -> Matrix
     central_scalar_matrices: tuple = ()
     center_matrices: tuple = ()
-    module_witness: tuple = ()
-    block_scalars: tuple = ()   # per block: tuple of center scalars
 
 
 def build_radical_split(source: AlgebraPresentation, config: PipelineConfig,
                         store: FiltrationStore):
     algebra = close_to_fdalg(
-        source, level_cap=config.closure_level_cap, basis_cap=config.basis_cap, store=store
+        source, level_cap=CLOSURE_LEVEL_CAP, basis_cap=config.basis_cap, store=store
     )
     decomposition = wedderburn_complement(algebra)
     bars, rads = [], []
@@ -284,7 +283,6 @@ def build_radical_split(source: AlgebraPresentation, config: PipelineConfig,
         ),
     )
     context = _PipelineContext(
-        algebra=algebra,
         decomposition=decomposition,
         semisimple_parts=semisimple_parts,
         radical_parts=radical_parts,
@@ -333,7 +331,6 @@ def build_central_scalars(
     base_field_only = isinstance(scalar_ring, RationalField)
     adjoined = []
     notes = []
-    per_block_scalars = []
     for block_index in range(len(context.idempotents)):
         units = context.block_unit_matrices[block_index]
         size = max(a for a, _ in units) + 1
@@ -343,7 +340,6 @@ def build_central_scalars(
         ]
         block_gens = [g for g in block_gens if not g.is_zero]
         harvested = nonconstant_coefficients(_block_words(scalar_ring, size, block_gens, cutoff))
-        per_block_scalars.append(tuple(harvested))
         idem = context.idempotents[block_index]
         for value in harvested:
             adjoined.append(idem.scale(ring.coerce(value)))
@@ -369,8 +365,7 @@ def build_central_scalars(
         provenance={"central_scalars": adjoined},
         notes=tuple(notes),
     )
-    context = replace(context, central_scalar_matrices=adjoined,
-                      block_scalars=tuple(per_block_scalars))
+    context = replace(context, central_scalar_matrices=adjoined)
     return stage, context
 
 
@@ -390,16 +385,16 @@ def build_center_stage(
         + list(context.central_scalar_matrices)
     )
     bar_pres = AlgebraPresentation(ring, pres.size, list(bar_gens), pres.label + "::bar")
-    depth = max(config.center_level, config.module_level)
+    depth = max(CENTER_LEVEL, MODULE_LEVEL)
     bar_table = growth_sequence(bar_pres, depth, basis_cap=config.basis_cap, store=store)
-    center_candidates = list(bar_table.level(config.center_level).representatives)
+    center_candidates = list(bar_table.level(CENTER_LEVEL).representatives)
 
     def commutators(mat):
         return [mat * g - g * mat for g in bar_gens]
 
     center = _q_kernel_matrices(center_candidates, commutators)
     center = _canonical_matrices(center)
-    module_witness = tuple(bar_table.level(config.module_level).representatives)
+    module_witness = tuple(bar_table.level(MODULE_LEVEL).representatives)
 
     # Does the center-span of the witness absorb generator products?
     absorb_span = [z * g for z in center for g in module_witness]
@@ -460,7 +455,7 @@ def build_center_stage(
         certificates=(module_cert,),
         notes=notes,
     )
-    context = replace(context, center_matrices=center, module_witness=module_witness)
+    context = replace(context, center_matrices=center)
     return stage, context
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._ratio import QQ, ZERO, as_ratio, is_rational, ratio_str
-from .errors import RingMismatchError
+from .errors import InternalCheckError, RingMismatchError
 
 Monomial = tuple  # tuple[int, ...], length = number of ring variables
 
@@ -356,7 +356,8 @@ def uni_lcm(a: Poly, b: Poly) -> Poly:
         return a.ring.zero
     g = uni_gcd(a, b)
     q, r = uni_divmod(a * b, g)
-    assert r.is_zero
+    if not r.is_zero:
+        raise InternalCheckError("the gcd does not divide the product in uni_lcm")
     return q.monic()
 
 

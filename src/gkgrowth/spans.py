@@ -25,7 +25,7 @@ tuple keys at the boundary.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ._ratio import QQ, as_ratio
 from .errors import InternalCheckError, ShapeMismatchError
@@ -99,6 +99,15 @@ def cleared_vecs(mats: Sequence[Matrix]) -> list:
                     vec[(i, j, mono[0], mono)] = c
         out.append(vec)
     return out
+
+
+def extend_span(basis: EchelonBasis, vecs: Iterable[dict], items: Iterable) -> list:
+    """Insert ``vecs`` into ``basis`` in order; the items whose vector extended it."""
+    kept = []
+    for vec, item in zip(vecs, items):
+        if basis.insert(vec) == EXTENDED:
+            kept.append(item)
+    return kept
 
 
 def vec_sort_key(vec: dict) -> tuple:

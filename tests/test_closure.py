@@ -1,21 +1,31 @@
-import pytest
+import itertools
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gkgrowth import charpoly
 from gkgrowth._ratio import QQ
 from gkgrowth.algebras import AlgebraPresentation, growth_sequence
+from gkgrowth.cli import load_presentation
 from gkgrowth.closure import (
     build_diagonal_embedding_example,
     elementary_symmetric,
     module_finiteness_check,
     trace_algebra_generators,
 )
+from gkgrowth.errors import CapExceededError
 from gkgrowth.growth import gk_estimate
 from gkgrowth.matrices import Matrix
 from gkgrowth.parse import parse_poly_expr
-from gkgrowth.poly import PolyRing, RationalField
+from gkgrowth.poly import PolyRing, RatFuncField, RationalField
 from gkgrowth.spans import EchelonBasis, poly_to_vec
 
 Q = RationalField()
 RX = PolyRing(("x",))
+FX = RatFuncField("x")
+DOCS = Path(__file__).resolve().parents[1] / "demos" / "presentations"
 
 
 def span_of(values):
@@ -60,6 +70,49 @@ def test_closure_presentation_adjoins_scalar_matrices():
     adjoined = closure.closure.generators[1]
     assert adjoined.entry(0, 0) == adjoined.entry(1, 1)
     assert not adjoined.entry(0, 1)
+
+
+def _diag_x_with_matrix_units():
+    """<diag(x, 0), E12, E21> over QQ[x]: its words repeat often."""
+    gens = [Matrix.diagonal(RX, [RX.gen(0), RX.zero]),
+            Matrix.elementary(RX, 2, 0, 1), Matrix.elementary(RX, 2, 1, 0)]
+    return AlgebraPresentation(RX, 2, gens, "diag-x-units")
+
+
+@pytest.mark.parametrize("word_length, distinct_words", [(4, 17), (6, 25)])
+def test_trace_harvest_computes_one_char_poly_per_distinct_word(
+    monkeypatch, word_length, distinct_words
+):
+    pres = _diag_x_with_matrix_units()
+    words = []
+    for length in range(1, word_length + 1):
+        for letters in itertools.product(pres.generators, repeat=length):
+            word = letters[0]
+            for g in letters[1:]:
+                word = word * g
+            words.append(word)
+    # Oracle: the coefficients of every word's char poly, duplicates included.
+    harvest = []
+    for word in words:
+        for c in charpoly.char_poly(word).coeffs[:-1]:
+            if c and not c.is_constant and c not in harvest:
+                harvest.append(c)
+    calls = []
+    real_char_poly = charpoly.char_poly
+    monkeypatch.setattr(charpoly, "char_poly", lambda m: calls.append(m) or real_char_poly(m))
+    assert charpoly.nonconstant_coefficients(words) == harvest
+    assert len(calls) == len(set(calls)) == distinct_words
+    calls.clear()
+    closure = trace_algebra_generators(pres, word_length)
+    assert len(calls) == distinct_words
+    assert span_of(closure.central_generators).dimension == span_of(harvest).dimension
+
+
+def test_trace_word_cap_counts_repeated_words():
+    # 3 + 9 + 27 words fit under the cap; the 81 words of length 4 do not,
+    # although only a few of them are distinct.
+    with pytest.raises(CapExceededError, match="cap 100 at length 4"):
+        trace_algebra_generators(_diag_x_with_matrix_units(), 8, word_cap=100)
 
 
 def test_module_finiteness_diagonal_examples():
@@ -116,3 +169,114 @@ def test_word_length_validation():
     pres, _ = build_diagonal_embedding_example(1)
     with pytest.raises(ValueError):
         trace_algebra_generators(pres, 0)
+
+
+# (source, trace word length, central degree cap) -> (number of central
+# generators, stabilized, rank, stabilized_at_length, word_length_reached),
+# recorded from the implementation that kept a separate QQ(x) span.
+PINNED_MODULE_REPORTS = {
+    ("laurent-pair.alg", 1, 2): (2, True, 1, 1, 1),
+    ("laurent-pair.alg", 1, 4): (2, True, 1, 1, 1),
+    ("laurent-pair.alg", 2, 2): (4, True, 1, 1, 1),
+    ("laurent-pair.alg", 2, 4): (4, True, 1, 1, 1),
+    ("laurent-pair.alg", 4, 2): (8, True, 1, 1, 1),
+    ("laurent-pair.alg", 4, 4): (8, True, 1, 1, 1),
+    ("mat2.alg", 1, 2): (0, True, 4, 2, 2),
+    ("mat2.alg", 1, 4): (0, True, 4, 2, 2),
+    ("mat2.alg", 2, 2): (0, True, 4, 2, 2),
+    ("mat2.alg", 2, 4): (0, True, 4, 2, 2),
+    ("mat2.alg", 4, 2): (0, True, 4, 2, 2),
+    ("mat2.alg", 4, 4): (0, True, 4, 2, 2),
+    ("scalar-x.alg", 1, 2): (2, True, 2, 2, 2),
+    ("scalar-x.alg", 1, 4): (2, True, 2, 2, 2),
+    ("scalar-x.alg", 2, 2): (3, True, 2, 2, 2),
+    ("scalar-x.alg", 2, 4): (3, True, 2, 2, 2),
+    ("scalar-x.alg", 4, 2): (6, True, 2, 2, 2),
+    ("scalar-x.alg", 4, 4): (6, True, 2, 2, 2),
+    ("two-variables.alg", 1, 2): (2, True, 1, 1, 1),
+    ("two-variables.alg", 1, 4): (2, True, 1, 1, 1),
+    ("two-variables.alg", 2, 2): (5, True, 1, 1, 1),
+    ("two-variables.alg", 2, 4): (5, True, 1, 1, 1),
+    ("two-variables.alg", 4, 2): (14, True, 1, 1, 1),
+    ("two-variables.alg", 4, 4): (14, True, 1, 1, 1),
+    ("upper-triangular-x.alg", 1, 2): (1, True, 3, 2, 2),
+    ("upper-triangular-x.alg", 1, 4): (1, True, 3, 2, 2),
+    ("upper-triangular-x.alg", 2, 2): (2, True, 3, 2, 2),
+    ("upper-triangular-x.alg", 2, 4): (2, True, 3, 2, 2),
+    ("upper-triangular-x.alg", 4, 2): (4, True, 3, 2, 2),
+    ("upper-triangular-x.alg", 4, 4): (4, True, 3, 2, 2),
+    ("exbig 1", 1, 4): (1, True, 1, 1, 1),
+    ("exbig 2", 1, 4): (2, True, 2, 2, 2),
+    ("exbig 3", 1, 4): (3, True, 3, 3, 3),
+}
+
+
+def _pinned_source(name):
+    if name.startswith("exbig "):
+        return build_diagonal_embedding_example(int(name.split()[1]))[0]
+    return load_presentation(str(DOCS / name))
+
+
+def test_module_finiteness_reports_are_pinned():
+    sources = {}
+    for (name, word_length, degree_cap), want in PINNED_MODULE_REPORTS.items():
+        if name not in sources:
+            sources[name] = _pinned_source(name)
+        closure = trace_algebra_generators(sources[name], word_length)
+        report = module_finiteness_check(closure, central_degree_cap=degree_cap)
+        got = (len(closure.central_generators), report.stabilized, report.rank,
+               report.stabilized_at_length, report.word_length_reached)
+        assert got == want, (name, word_length, degree_cap)
+        assert report.central_degree_cap == degree_cap
+        assert f"at word length {report.word_length_reached}" in report.note
+
+
+SMALL_POLYS = st.lists(st.integers(-2, 2), min_size=1, max_size=2).map(
+    lambda cs: sum((RX.gen(0) ** k * c for k, c in enumerate(cs)), RX.zero)
+)
+
+
+@st.composite
+def univariate_presentations(draw):
+    count = draw(st.integers(1, 2))
+    gens = [Matrix(RX, [[draw(SMALL_POLYS) for _ in range(2)] for _ in range(2)])
+            for _ in range(count)]
+    return AlgebraPresentation(RX, 2, gens, "uni")
+
+
+def _moebius(p):
+    """p(1/(x + 1)) in QQ(x).  x -> 1/(x + 1) is a field automorphism of
+    QQ(x), so it keeps every QQ-linear relation, while the denominators of
+    the images grow with the degree: a word's clearing changes with its
+    length."""
+    t = FX.one / (FX.gen() + FX.one)
+    return sum((t ** mono[0] * c for mono, c in p.items_unordered()), FX.zero)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(univariate_presentations(), st.integers(1, 2))
+def test_polynomial_and_rational_function_closures_agree(pres, word_length):
+    coerced = AlgebraPresentation(
+        FX, 2, [Matrix(FX, g.rows) for g in pres.generators], pres.label
+    )
+    moved = AlgebraPresentation(
+        FX, 2, [Matrix(FX, [[_moebius(e) for e in row] for row in g.rows])
+                for g in pres.generators], pres.label
+    )
+    poly_closure = trace_algebra_generators(pres, word_length)
+    ratfunc_closure = trace_algebra_generators(coerced, word_length)
+    moved_closure = trace_algebra_generators(moved, word_length)
+    assert [FX.coerce(c) for c in poly_closure.central_generators] == list(
+        ratfunc_closure.central_generators
+    )
+    assert [_moebius(c) for c in poly_closure.central_generators] == list(
+        moved_closure.central_generators
+    )
+    for degree_cap in (1, 2):
+        want = module_finiteness_check(
+            poly_closure, length_cap=3, central_degree_cap=degree_cap
+        )
+        for closure in (ratfunc_closure, moved_closure):
+            assert module_finiteness_check(
+                closure, length_cap=3, central_degree_cap=degree_cap
+            ) == want

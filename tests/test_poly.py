@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkgrowth._ratio import QQ
-from gkgrowth.errors import RingMismatchError
+from gkgrowth import poly
+from gkgrowth.errors import InternalCheckError, RingMismatchError
 from gkgrowth.poly import (
     Poly,
     PolyRing,
@@ -16,6 +17,7 @@ from gkgrowth.poly import (
     RationalField,
     uni_divmod,
     uni_gcd,
+    uni_lcm,
 )
 
 R2 = PolyRing(("x1", "x2"))
@@ -91,6 +93,21 @@ def test_uni_gcd_examples():
     assert uni_gcd(px("x^3 - x"), px("x^2 - 2*x + 1")) == px("x - 1")
     assert uni_gcd(px("2*x + 2"), RX.zero) == px("x + 1")  # monic normalization
     assert uni_gcd(RX.zero, RX.zero).is_zero
+
+
+def test_uni_lcm_examples():
+    assert uni_lcm(px("x^2 - 1"), px("2*x - 2")) == px("x^2 - 1")
+    assert uni_lcm(px("x"), px("x + 1")) == px("x^2 + x")
+    assert uni_lcm(px("x"), RX.zero).is_zero
+
+
+def test_uni_lcm_raises_when_the_gcd_leaves_a_remainder(monkeypatch):
+    # The self-check survives ``python -O``: it is a raise, not an assert.
+    a, b = px("x^2 - 1"), px("x - 1")
+    monkeypatch.setattr(poly, "uni_gcd", lambda u, v: px("x - 1"))
+    monkeypatch.setattr(poly, "uni_divmod", lambda u, v: (RX.one, RX.one))
+    with pytest.raises(InternalCheckError, match="uni_lcm"):
+        uni_lcm(a, b)
 
 
 def test_ratfunc_canonical_form_is_unique():
