@@ -6,7 +6,16 @@ re-encoded as structure constants over QQ and all the structure theory
 runs on that abstract encoding.  The closed span's basis is in reduced
 row-echelon form, so the coordinates of each product b_i*b_j are read at
 the basis's pivot keys, and a residual check proves the product lies in
-the span.
+the span; ``FiniteDimAlgebra.coords_of`` reads any matrix the same way.
+
+The structure constants are a sparse table: for each (i, j) the nonzero
+(k, c) pairs of b_i*b_j, with integral c stored as ``int``.  Products,
+the trace form and the center visit only those pairs.  Coordinate
+vectors keep integral values as ``int`` as well (basis vectors, the unit,
+quotient projections, lifted idempotents), so an algebra with integer
+structure constants, such as M_k, UT_k or diag(1..d), runs in int
+arithmetic throughout.  Values compare numerically, so every result
+equals the one computed with QQ values.
 
 The radical is the kernel of the trace form Tr(L_a L_b) of the left
 regular representation, which is exactly the radical in characteristic
@@ -28,9 +37,13 @@ NotSplitOverBaseError instead of silently extending the base field.
 Each simple block is split into primitive idempotents in the semisimple
 quotient by the primary idempotents of corner elements; the search tries
 the block's corner basis, then candidates drawn from one fixed
-pseudo-random stream, so every run gives the same answer.  The
-idempotents are lifted through the radical, and the block's matrix units
-are found in the algebra itself, between the lifted idempotents.
+pseudo-random stream, so every run gives the same answer.  The stream is
+drawn only when a call needs random candidates: a call that splits on
+the corner basis owes its block of draws, and the next call that needs
+the stream makes the owed draws first, so every candidate is the one an
+up-front draw gives.  The idempotents are lifted through the radical,
+and the block's matrix units are found in the algebra itself, between
+the lifted idempotents.
 
 Every kernel, solve and coordinate computation runs on the one exact
 elimination engine, ``EchelonBasis``.
@@ -53,7 +66,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ._ratio import QQ, ZERO, as_ratio
-from .algebras import AlgebraPresentation, FiltrationStore, growth_sequence
+from .algebras import AlgebraPresentation, FiltrationStore, _integral_vec, growth_sequence
 from .errors import (
     InternalCheckError,
     NonStabilizingError,
@@ -65,8 +78,8 @@ from .poly import Poly, PolyRing, RatFuncField, uni_gcd
 from .spans import (
     EXTENDED,
     EchelonBasis,
+    SpanSnapshot,
     extend_span,
-    field_coordinates,
     matrix_from_vec,
     matrix_to_field_vec,
     matrix_to_vec,
@@ -78,6 +91,16 @@ _T_RING = PolyRing(("t",))
 
 # ---------------------------------------------------------------------------
 # coordinate vectors
+#
+# A vector is a dense tuple of dim rational values; integral values are
+# kept as ``int`` (``_integral``), so algebras with integer structure
+# constants run in int arithmetic.  Values compare numerically, so an int
+# vector equals the same vector with QQ values.
+
+
+def _integral(u) -> tuple:
+    """u with each integral value as an int; other values stay QQ."""
+    return tuple(c.numerator if c.denominator == 1 else c for c in u)
 
 
 def _vec_add(u: tuple, v: tuple) -> tuple:
@@ -100,6 +123,20 @@ def _vec_to_dict(u: tuple) -> dict:
     return {(i,): c for i, c in enumerate(u) if c}
 
 
+def _sparse(u) -> tuple:
+    """The nonzero (k, value) pairs of a coordinate list, integral values as int."""
+    return tuple((k, c) for k, c in enumerate(_integral(u)) if c)
+
+
+def _lincomb(coeffs: Sequence, vectors: Sequence[tuple], dim: int) -> tuple:
+    """sum c * v over the nonzero coefficients."""
+    out = (0,) * dim
+    for c, v in zip(coeffs, vectors):
+        if c:
+            out = _vec_add(out, _vec_scale(v, c))
+    return out
+
+
 def _coord_span(vectors: Sequence[tuple]):
     # Inline rather than ``extend_span``: structure theory makes hundreds of
     # these calls on a few vectors each, where the extra call layer shows.
@@ -111,12 +148,17 @@ def _coord_span(vectors: Sequence[tuple]):
     return basis, reps
 
 
+def _kernel(basis: EchelonBasis, ncols: int) -> list:
+    """Canonical null-space basis of an echelon basis over keys (0,)..(ncols-1,)."""
+    return [_integral(v) for v in basis.kernel([(i,) for i in range(ncols)], 1)]
+
+
 def _null_space(rows: Sequence[Sequence], ncols: int) -> list:
     """Canonical kernel basis of a QQ matrix given by its rows."""
     basis = EchelonBasis()
     for row in rows:
         basis.insert(_vec_to_dict(row))
-    return basis.kernel([(i,) for i in range(ncols)])
+    return _kernel(basis, ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -125,29 +167,32 @@ def _null_space(rows: Sequence[Sequence], ncols: int) -> list:
 
 @dataclass(frozen=True)
 class StructureAlgebra:
-    """Finite-dimensional QQ-algebra given by structure constants."""
+    """Finite-dimensional QQ-algebra given by structure constants.
+
+    ``table[i][j]`` lists the nonzero coordinates of basis_i * basis_j as
+    (k, c) pairs in increasing k, integral c as ``int``; products visit
+    only these pairs.
+    """
 
     dim: int
-    table: tuple  # table[i][j] = coordinate tuple of basis_i * basis_j
+    table: tuple
     unit: tuple
 
     def mul(self, u: tuple, v: tuple) -> tuple:
-        out = [ZERO] * self.dim
+        out = [0] * self.dim
+        right = [(j, vj) for j, vj in enumerate(v) if vj]
         for i, ui in enumerate(u):
             if not ui:
                 continue
             ti = self.table[i]
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
+            for j, vj in right:
                 c = ui * vj
-                for k, t in enumerate(ti[j]):
-                    if t:
-                        out[k] = out[k] + c * t
+                for k, t in ti[j]:
+                    out[k] += c * t
         return tuple(out)
 
     def basis_vector(self, i: int) -> tuple:
-        return tuple(QQ(1) if k == i else ZERO for k in range(self.dim))
+        return tuple(1 if k == i else 0 for k in range(self.dim))
 
     def min_poly(self, u: tuple, unit: Optional[tuple] = None) -> Poly:
         """Monic minimal polynomial of u (over a custom unit if given)."""
@@ -157,7 +202,7 @@ class StructureAlgebra:
             nxt = self.mul(powers[-1], u)
             sol = EchelonBasis.solve([_vec_to_dict(p) for p in powers], _vec_to_dict(nxt))
             if sol is not None:
-                coeffs = [-c for c in sol] + [QQ(1)]
+                coeffs = [-c for c in sol] + [1]
                 return Poly.from_uni_coeffs(_T_RING, coeffs)
             powers.append(nxt)
             if len(powers) > self.dim + 1:
@@ -167,8 +212,8 @@ class StructureAlgebra:
         """Horner evaluation at u of the polynomial with these coefficients,
         lowest degree first."""
         one = self.unit if unit is None else unit
-        acc = tuple([ZERO] * self.dim)
-        for c in reversed(coeffs):
+        acc = (0,) * self.dim
+        for c in reversed(_integral(coeffs)):
             acc = self.mul(acc, u)
             if c:
                 acc = _vec_add(acc, _vec_scale(one, c))
@@ -181,11 +226,17 @@ class StructureAlgebra:
 
 @dataclass(frozen=True)
 class FiniteDimAlgebra:
-    """A closed matrix span with rational structure constants."""
+    """A closed matrix span with rational structure constants.
+
+    ``span`` holds the basis as reduced-echelon rows (integral values as
+    ``int`` over QQ and QQ[x...], scalar-field rows over QQ(x)), so the
+    coordinates of a matrix are read at its pivot keys.
+    """
 
     core: StructureAlgebra
     basis: tuple  # Matrix objects, canonical reduced-echelon family
     presentation: AlgebraPresentation = field(repr=False)
+    span: SpanSnapshot = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -200,11 +251,24 @@ class FiniteDimAlgebra:
         return self.presentation.size
 
     def from_coords(self, coords: Sequence) -> Matrix:
-        return _combine(self.ring, self.size, coords, self.basis)
+        """sum c_i * b_i.  Over QQ and QQ[x...] it is summed on the span's
+        sparse rows, so integral coordinates stay ints until the matrix."""
+        if isinstance(self.ring, RatFuncField):
+            return _combine(self.ring, self.size, coords, self.basis)
+        vec = {}
+        for c, row in zip(_integral(coords), self.span.rows):
+            if c:
+                for k, v in row.items():
+                    vec[k] = vec.get(k, 0) + c * v
+        return matrix_from_vec(self.ring, (self.size, self.size), vec)
 
     def coords_of(self, mat: Matrix) -> list:
         """Scalar-field coordinates of ``mat`` in the stored basis."""
-        coords = field_coordinates(self.basis, mat)
+        ring = self.ring
+        if isinstance(ring, RatFuncField):
+            coords = self.span.coordinates(matrix_to_field_vec(mat), ring.one)
+        else:
+            coords = self.span.coordinates(_integral_vec(matrix_to_vec(mat)), 1)
         if coords is None:
             raise ValueError("matrix does not lie in the algebra's scalar span")
         return coords
@@ -250,22 +314,24 @@ def close_to_fdalg(
     basis = tuple(
         matrix_from_vec(pres.ring, (pres.size, pres.size), row) for row in snapshot.rows
     )
-
     # The basis is in reduced row-echelon form: coordinates are read at its
-    # pivot keys, and a residual check proves membership.
+    # pivot keys, and a residual check proves membership.  Integral values
+    # are ints, so integer structure constants are formed in int arithmetic.
+    span = SpanSnapshot(tuple(_integral_vec(row) for row in snapshot.rows))
+
     def coords(vec: dict) -> tuple:
-        sol = snapshot.coordinates(vec)
+        sol = span.coordinates(vec, 1)
         if sol is None:
             raise InternalCheckError("closed span is not closed under products")
-        return tuple(sol)
+        return _sparse(sol)
 
-    rows = snapshot.rows
+    rows = span.rows
     struct_rows = tuple(tuple(coords(vec_matrix_product(a, b)) for b in rows) for a in rows)
-    unit = snapshot.coordinates(matrix_to_vec(pres.identity))
+    unit = span.coordinates(_integral_vec(matrix_to_vec(pres.identity)), 1)
     if unit is None:
         raise InternalCheckError("identity missing from a unital span closure")
-    core = StructureAlgebra(len(basis), struct_rows, tuple(unit))
-    return FiniteDimAlgebra(core, basis, pres)
+    core = StructureAlgebra(len(basis), struct_rows, _integral(unit))
+    return FiniteDimAlgebra(core, basis, pres, span)
 
 
 def _close_scalar_field(pres: AlgebraPresentation) -> FiniteDimAlgebra:
@@ -282,13 +348,13 @@ def _close_scalar_field(pres: AlgebraPresentation) -> FiniteDimAlgebra:
     snapshot = basis_span.snapshot()
     basis = []
     for row in snapshot.rows:
-        out = Matrix.zeros(ring, pres.size, pres.size)
+        cells = [[ring.zero] * pres.size for _ in range(pres.size)]
         for (i, j), value in row.items():
-            out = out + Matrix.elementary(ring, pres.size, i, j, value)
-        basis.append(out)
+            cells[i][j] = value
+        basis.append(Matrix(ring, cells))
     basis = tuple(basis)
 
-    def rational_coords(mat: Matrix) -> tuple:
+    def rational_coords(mat: Matrix) -> list:
         coords = snapshot.coordinates(matrix_to_field_vec(mat), ring.one)
         if coords is None:
             raise InternalCheckError("scalar-field closure is not closed under products")
@@ -301,14 +367,14 @@ def _close_scalar_field(pres: AlgebraPresentation) -> FiniteDimAlgebra:
                     "over the base field is not available for this input"
                 )
             rational.append(c.constant_value())
-        return tuple(rational)
+        return rational
 
     struct_rows = tuple(
-        tuple(rational_coords(bi * bj) for bj in basis) for bi in basis
+        tuple(_sparse(rational_coords(bi * bj)) for bj in basis) for bi in basis
     )
-    unit = rational_coords(ident)
+    unit = _integral(rational_coords(ident))
     core = StructureAlgebra(len(basis), struct_rows, unit)
-    return FiniteDimAlgebra(core, basis, pres)
+    return FiniteDimAlgebra(core, basis, pres, snapshot)
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +389,9 @@ def _trace_form(core: StructureAlgebra) -> list:
     of building every L_{b_i} for O(dim^4).
     """
     n = core.dim
-    trace = [sum((core.table[k][j][j] for j in range(n)), ZERO) for k in range(n)]
-    return [
-        [sum((c * t for c, t in zip(core.table[i][j], trace) if c), ZERO) for j in range(n)]
-        for i in range(n)
-    ]
+    trace = [sum(c for j, pairs in enumerate(core.table[k]) for l, c in pairs if l == j)
+             for k in range(n)]
+    return [[sum(c * trace[k] for k, c in pairs) for pairs in row] for row in core.table]
 
 
 def radical_coords(core: StructureAlgebra) -> list:
@@ -385,20 +449,20 @@ def quotient_by_ideal(core: StructureAlgebra, ideal: Sequence[tuple]):
 
     def project(u: tuple) -> tuple:
         residue = span.reduce(_vec_to_dict(u))
-        out = [ZERO] * len(free_positions)
+        out = [0] * len(free_positions)
         for (pos,), value in residue.items():
             out[index_of[pos]] = value
-        return tuple(out)
+        return _integral(out)
 
     def section(ubar: tuple) -> tuple:
-        out = [ZERO] * core.dim
+        out = [0] * core.dim
         for idx, value in enumerate(ubar):
             out[free_positions[idx]] = value
         return tuple(out)
 
     # The section of the j-th quotient basis vector is a core basis vector.
     lifts = [core.basis_vector(pos) for pos in free_positions]
-    table = tuple(tuple(project(core.mul(a, b)) for b in lifts) for a in lifts)
+    table = tuple(tuple(_sparse(project(core.mul(a, b))) for b in lifts) for a in lifts)
     bar = StructureAlgebra(len(free_positions), table, project(core.unit))
     return bar, project, section
 
@@ -484,7 +548,7 @@ def _spectral_idempotents(core: StructureAlgebra, u: tuple, e: tuple, mu: Poly):
         if len(cofactor) == 1:
             yield e
             continue
-        value = core.evaluate([c / at_root for c in cofactor], u, unit=e)
+        value = _vec_scale(core.evaluate(cofactor, u, unit=e), QQ(1) / at_root)
         yield _newton_idempotent(core, value, multiplicity.bit_length() + 1)
 
 
@@ -530,19 +594,26 @@ def central_primitive_idempotents_coords(core: StructureAlgebra) -> list:
 
 
 def _center_coords(core: StructureAlgebra) -> list:
-    rows = []
-    for j in range(core.dim):
-        for k in range(core.dim):
-            rows.append(
-                [core.table[i][j][k] - core.table[j][i][k] for i in range(core.dim)]
-            )
-    return _null_space(rows, core.dim)
+    # Row (j, k) holds the k-th coordinate of b_i*b_j - b_j*b_i at column i:
+    # a constant c of b_a*b_b adds c at (b, k) column a, and takes c from
+    # (a, k) column b.
+    rows = {}
+    for a, row in enumerate(core.table):
+        for b, pairs in enumerate(row):
+            for k, c in pairs:
+                plus, minus = rows.setdefault((b, k), {}), rows.setdefault((a, k), {})
+                plus[(a,)] = plus.get((a,), 0) + c
+                minus[(b,)] = minus.get((b,), 0) - c
+    basis = EchelonBasis()
+    for key in sorted(rows):
+        basis.insert({i: c for i, c in rows[key].items() if c})
+    return _kernel(basis, core.dim)
 
 
 def _verify_idempotent_family(core: StructureAlgebra, idems: Sequence[tuple], center):
     # No separate idempotence check: for an orthogonal family summing to the
     # unit, e = e * sum(idems) = e^2.
-    total = tuple([ZERO] * core.dim)
+    total = (0,) * core.dim
     for e in idems:
         total = _vec_add(total, e)
     if total != core.unit:
@@ -570,7 +641,7 @@ def _corner_basis(core: StructureAlgebra, e: tuple) -> list:
 def _primitive_idempotents(core: StructureAlgebra, block_idem: tuple) -> list:
     """Split a central idempotent of a semisimple algebra into primitive
     orthogonal idempotents, by spectral splitting of corner elements."""
-    rng = random.Random(0)
+    draws = _OwedDraws()
     finished = []
     stack = [block_idem]
     while stack:
@@ -579,7 +650,7 @@ def _primitive_idempotents(core: StructureAlgebra, block_idem: tuple) -> list:
         if len(corner) == 1:
             finished.append(e)
             continue
-        split = _try_split(core, e, corner, rng)
+        split = _try_split(core, e, corner, draws)
         if split is None:
             raise NotSplitOverBaseError(
                 "no rational splitting element found in a matrix block; "
@@ -594,27 +665,57 @@ def _primitive_idempotents(core: StructureAlgebra, block_idem: tuple) -> list:
 _RANDOM_CANDIDATES = 24
 
 
-def _try_split(core, e, corner, rng):
-    # Every random coefficient is drawn up front, in the order of the random
-    # vectors and their coordinates, so the generator's state and the
-    # candidates do not depend on how many candidates get tried; a random
-    # vector is built only once the corner basis has failed to split.
-    draws = [
-        [[rng.randint(-3, 3) for _ in corner] for _ in range(core.dim)]
-        for _ in range(_RANDOM_CANDIDATES)
-    ]
-    randoms = (
-        tuple(
-            sum((QQ(r) * v[k] for r, v in zip(row, corner)), ZERO)
-            for k, row in enumerate(coeffs)
-        )
-        for coeffs in draws
-    )
-    for u in itertools.chain(corner, randoms):
-        mu = core.min_poly(u, unit=e)
-        for f in _spectral_idempotents(core, u, e, mu):
-            if f != e:
-                return f
+class _OwedDraws:
+    """The split search's one stream, ``random.Random(0)``, drawn only when used.
+
+    Every ``_try_split`` call owns a block of 24*dim*|corner| draws, in the
+    order of the random vectors and their coordinates.  A call that splits
+    on the corner basis only adds its block to ``owed``; the first call that
+    needs random candidates makes and discards the owed draws, then draws
+    its own block.  Every candidate is then the one that drawing each block
+    up front gives, and a search that never needs one draws nothing.
+    """
+
+    __slots__ = ("rng", "owed")
+
+    def __init__(self):
+        self.rng = random.Random(0)
+        self.owed = 0
+
+    def owe(self, dim: int, width: int) -> None:
+        self.owed += _RANDOM_CANDIDATES * dim * width
+
+    def block(self, dim: int, width: int) -> list:
+        randint = self.rng.randint
+        for _ in range(self.owed):
+            randint(-3, 3)
+        self.owed = 0
+        return [
+            [[randint(-3, 3) for _ in range(width)] for _ in range(dim)]
+            for _ in range(_RANDOM_CANDIDATES)
+        ]
+
+
+def _try_split(core, e, corner, draws: _OwedDraws):
+    """A primary idempotent of a corner basis element, else of a random one."""
+    for u in corner:
+        f = _split_off(core, e, u)
+        if f is not None:
+            draws.owe(core.dim, len(corner))
+            return f
+    for coeffs in draws.block(core.dim, len(corner)):
+        u = tuple(sum(r * v[k] for r, v in zip(row, corner)) for k, row in enumerate(coeffs))
+        f = _split_off(core, e, u)
+        if f is not None:
+            return f
+    return None
+
+
+def _split_off(core, e, u):
+    mu = core.min_poly(u, unit=e)
+    for f in _spectral_idempotents(core, u, e, mu):
+        if f != e:
+            return f
     return None
 
 
@@ -651,10 +752,7 @@ def _matrix_units(core: StructureAlgebra, prims: Sequence[tuple], rad_span: Eche
         )
         if sol is None:
             raise InternalCheckError("matrix-unit equation x*y = e has no solution")
-        y = tuple([ZERO] * core.dim)
-        for c, yr in zip(sol, y_reps):
-            if c:
-                y = _vec_add(y, _vec_scale(yr, c))
+        y = _integral(_lincomb(sol, y_reps, core.dim))
         if core.mul(y, x) != ft:
             raise InternalCheckError("matrix-unit pair fails y*x = f")
         firsts[t] = x
@@ -663,7 +761,7 @@ def _matrix_units(core: StructureAlgebra, prims: Sequence[tuple], rad_span: Eche
     for a in range(k):
         if units[(a, a)] != prims[a]:
             raise InternalCheckError("diagonal matrix unit differs from its idempotent")
-    zero = tuple([ZERO] * core.dim)
+    zero = (0,) * core.dim
     for (a, b), u in units.items():
         for (c, d), v in units.items():
             if core.mul(u, v) != (units[(a, d)] if b == c else zero):
@@ -691,12 +789,13 @@ class WedderburnData:
 
 
 def _newton_idempotent(core: StructureAlgebra, u: tuple, max_iter: int) -> tuple:
+    u = _integral(u)
     for _ in range(max_iter):
         uu = core.mul(u, u)
         if uu == u:
             return u
         # u <- 3u^2 - 2u^3
-        u = _vec_sub(_vec_scale(uu, QQ(3)), _vec_scale(core.mul(uu, u), QQ(2)))
+        u = _integral(_vec_sub(_vec_scale(uu, 3), _vec_scale(core.mul(uu, u), 2)))
     uu = core.mul(u, u)
     if uu != u:
         raise InternalCheckError("idempotent lifting did not become stationary")
@@ -727,11 +826,11 @@ def wedderburn_complement(algebra: FiniteDimAlgebra) -> WedderburnData:
     block_units = []
     idempotent_vectors = []  # one per block: the sum of its lifted idempotents
     lifted_prims = []
-    running = tuple([ZERO] * core.dim)
+    running = (0,) * core.dim
     one = core.unit
     for prims_bar in blocks_bar:
         prims = []
-        block_idem = tuple([ZERO] * core.dim)
+        block_idem = (0,) * core.dim
         for p_bar in prims_bar:
             shield = _vec_sub(one, running)
             u = core.mul(shield, core.mul(section(p_bar), shield))
@@ -767,7 +866,7 @@ def wedderburn_complement(algebra: FiniteDimAlgebra) -> WedderburnData:
     for i, e in enumerate(idempotent_vectors):
         for j, f in enumerate(idempotent_vectors):
             product = core.mul(e, f)
-            expected = e if i == j else tuple([ZERO] * core.dim)
+            expected = e if i == j else (0,) * core.dim
             if product != expected:
                 raise InternalCheckError("block idempotents are not orthogonal idempotents")
         for u in comp_reps:
@@ -843,8 +942,8 @@ def decompose_element(
     if sol is None:
         raise InternalCheckError("decomposition solve failed inside the algebra")
     ncomp = len(data.complement_coords)
-    bar = _combine(ring, algebra.size, sol[:ncomp], data.complement_basis)
-    nil = _combine(ring, algebra.size, sol[ncomp:], data.radical_basis)
+    bar = algebra.from_coords(_lincomb(sol[:ncomp], data.complement_coords, algebra.dim))
+    nil = algebra.from_coords(_lincomb(sol[ncomp:], data.radical_coords, algebra.dim))
     if bar + nil != mat:
         raise InternalCheckError("decomposition parts do not sum back to the element")
     return bar, nil

@@ -500,9 +500,10 @@ def matrix_from_vec(ring, size: tuple, vec: dict) -> Matrix:
     """Inverse of matrix_to_vec for QQ and QQ[x...] coordinates."""
     nrows, ncols = size
     if isinstance(ring, RationalField):
-        rows = [[QQ(0)] * ncols for _ in range(nrows)]
+        # Matrix() converts each entry to QQ; int entries convert cheaply.
+        rows = [[0] * ncols for _ in range(nrows)]
         for (i, j, _deg, _mono), c in vec.items():
-            rows[i][j] = rows[i][j] + c
+            rows[i][j] += c
         return Matrix(ring, rows)
     if isinstance(ring, PolyRing):
         cells = [[{} for _ in range(ncols)] for _ in range(nrows)]

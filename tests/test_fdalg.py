@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -7,8 +8,11 @@ from hypothesis import strategies as st
 
 from gkgrowth._ratio import QQ
 from gkgrowth.algebras import AlgebraPresentation
-from gkgrowth.errors import NonStabilizingError, NotSplitOverBaseError
+from gkgrowth import fdalg
+from gkgrowth.errors import InternalCheckError, NonStabilizingError, NotSplitOverBaseError
 from gkgrowth.fdalg import (
+    StructureAlgebra,
+    _center_coords,
     _radical,
     _spectral_idempotents,
     _trace_form,
@@ -299,13 +303,28 @@ def conjugated_algebras(draw):
     return close_to_fdalg(AlgebraPresentation(ring, k, gens, "conjugated"))
 
 
+def dense_table(core):
+    """table[i][j] as the full coordinate tuple of b_i * b_j."""
+    out = []
+    for row in core.table:
+        dense_row = []
+        for pairs in row:
+            coords = [QQ(0)] * core.dim
+            for k, c in pairs:
+                coords[k] = QQ(c)
+            dense_row.append(tuple(coords))
+        out.append(tuple(dense_row))
+    return tuple(out)
+
+
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(conjugated_algebras())
 def test_dickson_trace_form_equals_brute_force_gram(algebra):
     core = algebra.core
     n = core.dim
+    table = dense_table(core)
     # L_{b_i} has the coordinates of b_i * b_j as its j-th column.
-    lmuls = [[[core.table[i][j][k] for j in range(n)] for k in range(n)] for i in range(n)]
+    lmuls = [[[table[i][j][k] for j in range(n)] for k in range(n)] for i in range(n)]
     brute = [
         [sum((lmuls[i][k][l] * lmuls[j][l][k] for k in range(n) for l in range(n)), QQ(0))
          for j in range(n)]
@@ -318,9 +337,10 @@ def test_dickson_trace_form_equals_brute_force_gram(algebra):
 @given(conjugated_algebras())
 def test_pivot_read_coordinates_reconstruct_every_product(algebra):
     core, basis = algebra.core, algebra.basis
+    table = dense_table(core)
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):
-            assert algebra.from_coords(core.table[i][j]) == bi * bj
+            assert algebra.from_coords(table[i][j]) == bi * bj
     assert algebra.from_coords(core.unit) == algebra.presentation.identity
 
 
@@ -743,3 +763,220 @@ def test_structure_dimensions_match_a_sympy_oracle():
         seen.add(expected)
     # The corpus reaches nonzero radicals of several nilpotence degrees.
     assert {degree for _, _, degree in seen} >= {1, 2, 3}
+
+
+# ---------------------------------------------------------------------------
+# sparse integer structure constants
+
+
+def dense_mul(dim, table, u, v):
+    """The product on a dense QQ table, by the loops of the dense design."""
+    out = [QQ(0)] * dim
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            c = ui * vj
+            for k, t in enumerate(table[i][j]):
+                if t:
+                    out[k] = out[k] + c * t
+    return tuple(out)
+
+
+def dense_min_poly(dim, table, u, one):
+    powers = [one]
+    while True:
+        nxt = dense_mul(dim, table, powers[-1], u)
+        sol = EchelonBasis.solve([{(i,): c for i, c in enumerate(p) if c} for p in powers],
+                                 {(i,): c for i, c in enumerate(nxt) if c})
+        if sol is not None:
+            return [-c for c in sol] + [QQ(1)]
+        powers.append(nxt)
+        if len(powers) > dim + 1:
+            raise InternalCheckError("minimal polynomial exceeds the algebra dimension")
+
+
+def dense_evaluate(dim, table, coeffs, u, one):
+    acc = tuple([QQ(0)] * dim)
+    for c in reversed(coeffs):
+        acc = dense_mul(dim, table, acc, u)
+        if c:
+            acc = tuple(a + c * b for a, b in zip(acc, one))
+    return acc
+
+
+def dense_trace_form(dim, table):
+    trace = [sum((table[k][j][j] for j in range(dim)), QQ(0)) for k in range(dim)]
+    return [[sum((c * t for c, t in zip(table[i][j], trace) if c), QQ(0)) for j in range(dim)]
+            for i in range(dim)]
+
+
+def dense_center(dim, table):
+    basis = EchelonBasis()
+    for j in range(dim):
+        for k in range(dim):
+            row = [table[i][j][k] - table[j][i][k] for i in range(dim)]
+            basis.insert({(i,): c for i, c in enumerate(row) if c})
+    return basis.kernel([(i,) for i in range(dim)])
+
+
+SCALARS = st.one_of(st.just(QQ(0)), st.integers(-3, 3).map(QQ),
+                    st.tuples(st.integers(-5, 5), st.integers(1, 6)).map(lambda nd: QQ(*nd)))
+
+
+@st.composite
+def random_tables(draw):
+    """(dim, dense QQ table, two vectors, a unit vector, coefficients)."""
+    dim = draw(st.integers(1, 4))
+    vec = st.lists(SCALARS, min_size=dim, max_size=dim).map(tuple)
+    table = tuple(tuple(draw(vec) for _ in range(dim)) for _ in range(dim))
+    return dim, table, draw(vec), draw(vec), draw(vec), draw(st.lists(SCALARS, max_size=4))
+
+
+def sparse_core(dim, table, unit):
+    """The same table as (k, c) pairs, integral values as int."""
+    pairs = tuple(tuple(tuple((k, c.numerator if c.denominator == 1 else c)
+                              for k, c in enumerate(entry) if c) for entry in row)
+                  for row in table)
+    return StructureAlgebra(dim, pairs, tuple(c.numerator if c.denominator == 1 else c
+                                              for c in unit))
+
+
+def outcome(call):
+    try:
+        return call()
+    except InternalCheckError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_tables())
+def test_sparse_core_matches_a_dense_reference(case):
+    # Random tables, integral or not, are neither associative nor unital:
+    # the operations must still agree value for value with the dense loops.
+    dim, table, u, v, unit, coeffs = case
+    core = sparse_core(dim, table, unit)
+    assert core.mul(u, v) == dense_mul(dim, table, u, v)
+    assert core.evaluate(coeffs, u) == dense_evaluate(dim, table, coeffs, u, unit)
+    assert outcome(lambda: core.min_poly(u).uni_coeffs()) == outcome(
+        lambda: dense_min_poly(dim, table, u, unit))
+    assert _trace_form(core) == dense_trace_form(dim, table)
+    assert _center_coords(core) == dense_center(dim, table)
+
+
+P_CONJ = Matrix(Q, [[1, 2, 0], [3, 4, 1], [0, 1, 5]])  # det -11
+P_INV = Matrix(Q, [[QQ(c, 11) for c in row]
+                   for row in ((-19, 10, -2), (15, -5, 1), (-3, 1, 2))])
+
+
+def test_wedderburn_on_non_integral_structure_constants():
+    # Conjugating by P gives the closures of UT_3 and diag(1, 2, 3) structure
+    # constants with denominators 2, 3 (UT_3) and 3, 5, 10 (the diagonal).
+    assert P_CONJ * P_INV == Matrix.identity(Q, 3)
+    cases = [(upper_triangular_pres(3).generators, 3, 6), ([Matrix.diagonal(Q, [1, 2, 3])], 1, 3)]
+    denominators = set()
+    for gens, nil, dim in cases:
+        pres = AlgebraPresentation(Q, 3, [P_CONJ * g * P_INV for g in gens])
+        algebra = close_to_fdalg(pres)
+        assert algebra.dim == dim
+        denominators |= {c.denominator for row in algebra.core.table for pairs in row
+                         for _, c in pairs}
+        data = wedderburn_complement(algebra)
+        assert data.nilpotence_degree == nil
+        probe = sum((g.scale(QQ(i + 2)) for i, g in enumerate(pres.generators)),
+                    Matrix.zeros(Q, 3, 3))
+        for mat in [*pres.generators, probe]:
+            bar, rad = decompose_element(algebra, data, mat)
+            assert bar + rad == mat
+            power = rad
+            for _ in range(nil - 1):
+                power = power * rad
+            assert power.is_zero
+    assert denominators == {1, 2, 3, 5, 10}
+
+
+def signed_conjugate(gens, n, moves):
+    conj, inv = transvection_product(Q, n, moves)
+    return [conj * g * inv for g in gens]
+
+
+@pytest.mark.parametrize("label", ["M_4", "UT_6", "diag(1..8)"])
+def test_integer_algebras_stay_on_int_arithmetic(label):
+    # The fast path of the sparse table: integer structure constants give
+    # int coordinates for the unit, the idempotents and the matrix units.
+    if label == "M_4":
+        gens = [e(i, j, 4) for i in range(4) for j in range(4) if abs(i - j) == 1]
+        pres = AlgebraPresentation(Q, 4, signed_conjugate(gens, 4, [((0, 3), 1), ((2, 1), -1)]))
+    elif label == "UT_6":
+        gens = signed_conjugate(upper_triangular_pres(6).generators, 6, [((0, 4), -1)])
+        pres = AlgebraPresentation(Q, 6, gens)
+    else:
+        pres = AlgebraPresentation(Q, 8, [Matrix.diagonal(Q, [5, 2, 8, 1, 7, 3, 6, 4])])
+    algebra = close_to_fdalg(pres)
+    data = wedderburn_complement(algebra)
+    constants = [c for row in algebra.core.table for pairs in row for _, c in pairs]
+    assert constants and all(type(c) is int for c in constants)
+    vectors = [algebra.core.unit, *data.idempotent_coords,
+               *(v for units in data.block_units_coords for v in units.values())]
+    assert all(type(c) is int for v in vectors for c in v)
+
+
+def m2_quaternion_pres(a, b):
+    """M_2(H(a, b)) on QQ^2 (x) QQ^4: E_ij (x) I_4 and I_2 (x) the left i, j."""
+    quaternion = quaternion_pres(a, b).generators
+
+    def kron(left, right):
+        n, m = left.nrows, right.nrows
+        return Matrix(Q, [[left.rows[i // m][j // m] * right.rows[i % m][j % m]
+                           for j in range(n * m)] for i in range(n * m)])
+
+    gens = [kron(e(i, j), Matrix.identity(Q, 4)) for i in range(2) for j in range(2)]
+    gens += [kron(Matrix.identity(Q, 2), g) for g in quaternion]
+    return AlgebraPresentation(Q, 8, gens, f"M_2(H({a},{b}))")
+
+
+def eager_try_split(core, e, corner, draws):
+    """The split search with every random coefficient drawn up front."""
+    rng = draws.rng
+    blocks = [[[rng.randint(-3, 3) for _ in corner] for _ in range(core.dim)]
+              for _ in range(24)]
+    randoms = (tuple(sum((QQ(r) * v[k] for r, v in zip(row, corner)), QQ(0))
+                     for k, row in enumerate(coeffs)) for coeffs in blocks)
+    for u in itertools.chain(corner, randoms):
+        mu = core.min_poly(u, unit=e)
+        for f in _spectral_idempotents(core, u, e, mu):
+            if f != e:
+                return f
+    return None
+
+
+def test_owed_split_draws_give_the_eager_candidates(monkeypatch):
+    # M_2(H(-7, 2)) = M_4(QQ), dim 16: the first split is on the corner
+    # basis, so the next one, which needs random candidates, first makes
+    # the 24 * 16 * 16 owed draws.
+    owed_at_block = []
+    block = fdalg._OwedDraws.block
+
+    def spy(self, dim, width):
+        owed_at_block.append(self.owed)
+        return block(self, dim, width)
+
+    pres = m2_quaternion_pres(-7, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(fdalg._OwedDraws, "block", spy)
+        lazy = wedderburn_complement(close_to_fdalg(pres))
+    assert owed_at_block[0] == 24 * 16 * 16
+    with monkeypatch.context() as patch:
+        patch.setattr(fdalg, "_try_split", eager_try_split)
+        eager = wedderburn_complement(close_to_fdalg(pres))
+    assert lazy == eager
+    assert [len(units) for units in lazy.block_units_coords] == [16]
+
+    # M_3 splits on corner bases only: the search draws nothing.
+    owed_at_block.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(fdalg._OwedDraws, "block", spy)
+        wedderburn_complement(closed_matrix_algebra(3, False))
+    assert owed_at_block == []
