@@ -158,6 +158,11 @@ class _CoordinateLevel:
             self._snapshot = SpanSnapshot(tuple(self._reader.row(rows[k]) for k in sorted(rows)))
         return self._snapshot
 
+    def packed_basis(self) -> tuple:
+        """(codec, packed basis rows in increasing leading-key order), values as stored."""
+        rows = self._rows
+        return self._reader.codec, [rows[k] for k in sorted(rows)]
+
     @property
     def representatives(self) -> tuple:
         if self._representatives is None:

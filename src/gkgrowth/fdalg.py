@@ -4,9 +4,11 @@ Algebras arrive as matrix presentations whose span closes up; they are
 re-encoded as structure constants over QQ and all the structure theory
 (radical, nilpotence degree, central primitive idempotents, complement)
 runs on that abstract encoding.  The closed span's basis is in reduced
-row-echelon form, so the coordinates of each product b_i*b_j are read at
-the basis's pivot keys, and a residual check proves the product lies in
-the span; ``FiniteDimAlgebra.coords_of`` reads any matrix the same way.
+row-echelon form.  Over QQ and QQ[x...] each product b_i*b_j is formed on
+the growth filtration's packed rows (``spans.packed_product``), its
+coordinates are read at those of its keys that are pivots, and a residual
+check proves the product lies in the span; ``FiniteDimAlgebra.coords_of``
+reads any matrix at the pivot keys too.
 
 The structure constants are a sparse table: for each (i, j) the nonzero
 (k, c) pairs of b_i*b_j, with integral c stored as ``int``.  Products,
@@ -29,7 +31,11 @@ synthetic division and c(u)/c(r) is lifted by the Newton iteration
 u <- 3u^2 - 2u^3, which also lifts idempotents through the radical.
 
 Central primitive idempotents come from refining the unit by the primary
-idempotents of each center basis element, with no random search.
+idempotents of each center basis element, with no random search; a pair
+with z*e = c*e keeps e without a minimal polynomial.  The radical's ideal
+check sums z*b_i and b_i*z from the table's pairs, and the quotient by a
+zero radical is the algebra itself, so each step costs the nonzeros of
+the table rather than its dimension.
 Semisimple quotients must split over QQ: a quotient that does not (an
 irrational-eigenvalue center, a division algebra block) raises
 NotSplitOverBaseError instead of silently extending the base field.
@@ -78,12 +84,14 @@ from .poly import Poly, PolyRing, RatFuncField, uni_gcd
 from .spans import (
     EXTENDED,
     EchelonBasis,
+    KeyCodec,
     SpanSnapshot,
     extend_span,
     matrix_from_vec,
     matrix_to_field_vec,
     matrix_to_vec,
-    vec_matrix_product,
+    packed_product,
+    pivot_pairs,
 )
 
 _T_RING = PolyRing(("t",))
@@ -310,23 +318,34 @@ def close_to_fdalg(
             f"{pres.label!r} did not stabilize within {level_cap} levels "
             f"(dimension reached {table.dims[-1]})"
         )
-    snapshot = table.level(table.max_level).snapshot
-    basis = tuple(
-        matrix_from_vec(pres.ring, (pres.size, pres.size), row) for row in snapshot.rows
-    )
-    # The basis is in reduced row-echelon form: coordinates are read at its
-    # pivot keys, and a residual check proves membership.  Integral values
-    # are ints, so integer structure constants are formed in int arithmetic.
-    span = SpanSnapshot(tuple(_integral_vec(row) for row in snapshot.rows))
+    # The final level's reduced-echelon rows, integral values as ints: the
+    # coordinates of a matrix are read at their pivot keys, and a residual
+    # check proves membership.
+    codec, packed = table.level(table.max_level).packed_basis()
+    packed = [_integral_vec(row) for row in packed]
+    rows = tuple({codec.unpack(k): c for k, c in row.items()} for row in packed)
+    shape = (pres.size, pres.size)
+    basis = tuple(matrix_from_vec(pres.ring, shape, row) for row in rows)
+    span = SpanSnapshot(rows)
+    # A product of two basis elements has degree up to twice the span's top
+    # degree.  The packed keys must hold that without a digit carrying, or a
+    # term outside the span could land on a key inside it and pass the
+    # residual check; the growth run's base need not cover it.
+    top = max((k[2] for row in rows for k in row), default=0)
+    if 2 * top >= codec.base:
+        codec = KeyCodec(codec.size, codec.nvars, 2 * top + 1)
+        packed = [codec.pack_vec(row) for row in rows]
+    leads = {min(row): k for k, row in enumerate(packed)}
 
-    def coords(vec: dict) -> tuple:
-        sol = span.coordinates(vec, 1)
+    def pairs(product: dict) -> tuple:
+        sol = pivot_pairs(product, leads, packed)
         if sol is None:
             raise InternalCheckError("closed span is not closed under products")
-        return _sparse(sol)
+        return tuple((k, c.numerator if c.denominator == 1 else c) for k, c in sol)
 
-    rows = span.rows
-    struct_rows = tuple(tuple(coords(vec_matrix_product(a, b)) for b in rows) for a in rows)
+    lefts = [codec.by_column(row) for row in packed]
+    rights = [codec.by_row(row) for row in packed]
+    struct_rows = tuple(tuple(pairs(packed_product(a, b)) for b in rights) for a in lefts)
     unit = span.coordinates(_integral_vec(matrix_to_vec(pres.identity)), 1)
     if unit is None:
         raise InternalCheckError("identity missing from a unital span closure")
@@ -410,15 +429,31 @@ def _radical(core: StructureAlgebra):
 
 
 def _verify_radical(core: StructureAlgebra, rad: Sequence[tuple]) -> int:
-    """Check that rad spans a nilpotent two-sided ideal; return its degree."""
+    """Check that rad spans a nilpotent two-sided ideal; return its degree.
+
+    z*b_i and b_i*z are summed from the table's pairs at z's nonzeros,
+    ``table[a][i]`` and ``table[i][a]``.
+    """
     span, reps = _coord_span(rad)
+    table = core.table
     for z in reps:
+        support = [(a, c) for a, c in enumerate(z) if c]
         for i in range(core.dim):
-            b = core.basis_vector(i)
-            for product in (core.mul(z, b), core.mul(b, z)):
-                if not span.contains(_vec_to_dict(product)):
+            for product in (_pair_sum((c, table[a][i]) for a, c in support),
+                            _pair_sum((c, table[i][a]) for a, c in support)):
+                if not span.contains(product):
                     raise InternalCheckError("trace-form kernel is not a two-sided ideal")
     return nilpotence_degree_coords(core, reps)
+
+
+def _pair_sum(terms) -> dict:
+    """sum c * b over (c, table pairs of b) terms, as a sparse vector keyed (k,)."""
+    out = {}
+    for c, pairs in terms:
+        for k, t in pairs:
+            key = (k,)
+            out[key] = out.get(key, 0) + c * t
+    return {k: v for k, v in out.items() if v}
 
 
 def nilpotence_degree_coords(core: StructureAlgebra, rad: Sequence[tuple]) -> int:
@@ -441,8 +476,13 @@ def nilpotence_degree_coords(core: StructureAlgebra, rad: Sequence[tuple]) -> in
 
 
 def quotient_by_ideal(core: StructureAlgebra, ideal: Sequence[tuple]):
-    """Quotient algebra plus the projection/section coordinate maps."""
+    """Quotient algebra plus the projection/section coordinate maps.
+
+    The quotient by the zero ideal is the algebra itself.
+    """
     span, _ = _coord_span(ideal)
+    if not span.dimension:
+        return core, _integral, tuple
     pivot_positions = sorted(k[0] for k in span._pivot_rows)
     free_positions = [i for i in range(core.dim) if i not in set(pivot_positions)]
     index_of = {pos: idx for idx, pos in enumerate(free_positions)}
@@ -578,6 +618,10 @@ def central_primitive_idempotents_coords(core: StructureAlgebra) -> list:
         refined = []
         for e in idems:
             u = core.mul(z, e)
+            if _is_multiple(u, e):
+                # z*e = c*e: the minimal polynomial is t - c, whose one root gives e.
+                refined.append(e)
+                continue
             mu = core.min_poly(u, unit=e)
             if uni_gcd(mu, mu.derivative()).degree() != 0:
                 raise InternalCheckError("center element has a non-squarefree minimal polynomial")
@@ -591,6 +635,12 @@ def central_primitive_idempotents_coords(core: StructureAlgebra) -> list:
         idems = refined
     _verify_idempotent_family(core, idems, center)
     return sorted(idems)
+
+
+def _is_multiple(u: tuple, e: tuple) -> bool:
+    """Whether u = c*e for a scalar c, e nonzero: u*e_p = e*u_p at e's first nonzero p."""
+    p = next(k for k, c in enumerate(e) if c)
+    return _vec_scale(u, e[p]) == _vec_scale(e, u[p])
 
 
 def _center_coords(core: StructureAlgebra) -> list:

@@ -27,6 +27,17 @@ class Matrix:
                 raise ShapeMismatchError("ragged matrix rows")
         self._hash = None
 
+    @classmethod
+    def _of(cls, ring, rows: tuple) -> "Matrix":
+        """A matrix on ``rows``, a tuple of equal-length tuples that already
+        hold elements of ``ring``: results of ring arithmetic, built once
+        without re-coercing each entry."""
+        mat = cls.__new__(cls)
+        mat.ring = ring
+        mat.rows = rows
+        mat._hash = None
+        return mat
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod
@@ -106,22 +117,22 @@ class Matrix:
         self._check_ring(other)
         if self.shape != other.shape:
             raise ShapeMismatchError(f"adding {self.shape} to {other.shape}")
-        return Matrix(
+        return Matrix._of(
             self.ring,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
         )
 
     def __sub__(self, other):
         self._check_ring(other)
         if self.shape != other.shape:
             raise ShapeMismatchError(f"subtracting {other.shape} from {self.shape}")
-        return Matrix(
+        return Matrix._of(
             self.ring,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
         )
 
     def __neg__(self):
-        return Matrix(self.ring, [[-e for e in row] for row in self.rows])
+        return Matrix._of(self.ring, tuple(tuple(-e for e in row) for row in self.rows))
 
     def __mul__(self, other):
         self._check_ring(other)
@@ -144,8 +155,8 @@ class Matrix:
                         continue
                     p = av * bv
                     acc[j] = p if acc[j] is None else acc[j] + p
-            out.append([zero if v is None else v for v in acc])
-        return Matrix(self.ring, out)
+            out.append(tuple(zero if v is None else v for v in acc))
+        return Matrix._of(self.ring, tuple(out))
 
     def scale(self, c) -> "Matrix":
         c = self.ring.coerce(c)

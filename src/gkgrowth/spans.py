@@ -20,7 +20,10 @@ pivot is +-1 stays integral, any other pivot divides exactly in QQ.
 values only.  Keys may be any totally ordered hashables: the growth loop
 packs each tuple key into one int (``KeyCodec``), which orders the same
 way, multiplies on packed keys (``packed_product``) and decodes back to
-tuple keys at the boundary.
+tuple keys at the boundary.  Structure theory forms its products on the
+same packed rows and reads their coordinates with ``pivot_pairs``, which
+looks up only the product's own keys.  ``matrix_from_vec`` builds its
+matrix from ring elements directly, without coercing each entry again.
 """
 
 from __future__ import annotations
@@ -303,17 +306,31 @@ def _pivot_coordinates(pivot_rows: dict, vec: dict, one) -> Optional[list]:
     """Coordinates of ``vec`` on reduced-echelon rows (by leading key), or None.
 
     A member of the span carries, at each row's pivot key, its coefficient
-    on that row, since no other row touches that key.  The residual
-    ``vec - sum c_r * row_r`` proves membership.
+    on that row, since no other row touches that key (``pivot_pairs``).
     """
-    zero = one - one
     leads = sorted(pivot_rows)
-    coords = [vec.get(k, zero) for k in leads]
+    pairs = pivot_pairs(vec, {k: r for r, k in enumerate(leads)}, [pivot_rows[k] for k in leads])
+    if pairs is None:
+        return None
+    coords = [one - one] * len(leads)
+    for r, c in pairs:
+        coords[r] = c
+    return coords
+
+
+def pivot_pairs(vec: dict, leads: dict, rows: Sequence[dict]) -> Optional[tuple]:
+    """The nonzero coordinates of ``vec`` on reduced-echelon ``rows``, or None.
+
+    ``leads`` maps each row's leading key to its index.  Only the keys of
+    ``vec`` are looked up, so the cost follows its nonzeros, not the number
+    of rows.  The result is the (index, value) pairs in increasing index;
+    the residual ``vec - sum c_r * row_r`` proves membership.
+    """
+    pairs = sorted((leads[k], c) for k, c in vec.items() if k in leads)
     residual = dict(vec)
-    for c, k in zip(coords, leads):
-        if c:
-            _axpy_inplace(residual, c, pivot_rows[k])
-    return None if residual else coords
+    for r, c in pairs:
+        _axpy_inplace(residual, c, rows[r])
+    return None if residual else tuple(pairs)
 
 
 class SpanSnapshot:
@@ -390,28 +407,6 @@ def field_coordinates(basis_mats: Sequence[Matrix], candidate: Matrix) -> Option
         cols = [matrix_to_field_vec(m) for m in basis_mats]
         return EchelonBasis.solve(cols, matrix_to_field_vec(candidate), ring.one)
     return EchelonBasis.solve([matrix_to_vec(m) for m in basis_mats], matrix_to_vec(candidate))
-
-
-def vec_matrix_product(a: dict, b: dict) -> dict:
-    """``matrix_to_vec(A * B)`` from ``matrix_to_vec(A)`` and ``matrix_to_vec(B)``.
-
-    Works on the sparse coordinates directly: entry (i, k) of A times entry
-    (k, j) of B lands on (i, j), monomial exponents adding.
-    """
-    by_row = {}
-    for (k, j, deg, mono), c in b.items():
-        by_row.setdefault(k, []).append((j, deg, mono, c))
-    out = {}
-    for (i, k, deg, mono), c in a.items():
-        for j, deg2, mono2, c2 in by_row.get(k, ()):
-            key = (i, j, deg + deg2, tuple(map(int.__add__, mono, mono2)))
-            value = out.get(key)
-            value = c * c2 if value is None else value + c * c2
-            if value:
-                out[key] = value
-            else:
-                del out[key]
-    return out
 
 
 class KeyCodec:
@@ -497,17 +492,24 @@ def packed_product(left: dict, right: dict) -> dict:
 
 
 def matrix_from_vec(ring, size: tuple, vec: dict) -> Matrix:
-    """Inverse of matrix_to_vec for QQ and QQ[x...] coordinates."""
+    """Inverse of matrix_to_vec for QQ and QQ[x...] coordinates.
+
+    Values may be ``int`` or QQ; each int becomes QQ once, and every zero
+    entry is the ring's one shared zero.
+    """
     nrows, ncols = size
     if isinstance(ring, RationalField):
-        # Matrix() converts each entry to QQ; int entries convert cheaply.
-        rows = [[0] * ncols for _ in range(nrows)]
+        rows = [[ring.zero] * ncols for _ in range(nrows)]
         for (i, j, _deg, _mono), c in vec.items():
-            rows[i][j] += c
-        return Matrix(ring, rows)
+            rows[i][j] = QQ(c) if type(c) is int else c
+        return Matrix._of(ring, tuple(map(tuple, rows)))
     if isinstance(ring, PolyRing):
-        cells = [[{} for _ in range(ncols)] for _ in range(nrows)]
+        cells = {}
         for (i, j, _deg, mono), c in vec.items():
-            cells[i][j][mono] = QQ(c) if type(c) is int else c
-        return Matrix(ring, [[Poly(ring, cell) for cell in row] for row in cells])
+            cells.setdefault((i, j), {})[mono] = QQ(c) if type(c) is int else c
+        zero = ring.zero
+        rows = [[zero] * ncols for _ in range(nrows)]
+        for (i, j), cell in cells.items():
+            rows[i][j] = Poly(ring, cell)
+        return Matrix._of(ring, tuple(map(tuple, rows)))
     raise TypeError(f"matrix_from_vec does not support {ring}")

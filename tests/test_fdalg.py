@@ -7,19 +7,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkgrowth._ratio import QQ
-from gkgrowth.algebras import AlgebraPresentation
+from gkgrowth.algebras import AlgebraPresentation, growth_sequence
 from gkgrowth import fdalg
 from gkgrowth.errors import InternalCheckError, NonStabilizingError, NotSplitOverBaseError
 from gkgrowth.fdalg import (
     StructureAlgebra,
     _center_coords,
+    _integral,
     _radical,
     _spectral_idempotents,
     _trace_form,
     central_primitive_idempotents,
+    central_primitive_idempotents_coords,
     close_to_fdalg,
     decompose_element,
     nilpotence_degree,
+    quotient_by_ideal,
     radical,
     rational_roots,
     wedderburn_complement,
@@ -27,7 +30,8 @@ from gkgrowth.fdalg import (
 from gkgrowth.matrices import Matrix
 from gkgrowth.parse import parse_poly_expr
 from gkgrowth.poly import PolyRing, RatFuncField, RationalField
-from gkgrowth.spans import EchelonBasis, matrix_to_vec
+from gkgrowth.spans import EchelonBasis, KeyCodec, matrix_to_vec
+from test_spans import vec_matrix_product
 
 Q = RationalField()
 F = RatFuncField("x")
@@ -980,3 +984,206 @@ def test_owed_split_draws_give_the_eager_candidates(monkeypatch):
         patch.setattr(fdalg._OwedDraws, "block", spy)
         wedderburn_complement(closed_matrix_algebra(3, False))
     assert owed_at_block == []
+
+
+# ---------------------------------------------------------------------------
+# structure constants on packed keys, and the structure-theory shortcuts
+
+X = PolyRing(("x",))
+
+
+def typed_core(core):
+    """A core's table and unit with each value's type, so int and QQ differ."""
+    def typed(value):
+        return (type(value).__name__, value)
+
+    return (core.dim,
+            tuple(tuple(tuple((k, typed(c)) for k, c in pairs) for pairs in row)
+                  for row in core.table),
+            tuple(typed(c) for c in core.unit))
+
+
+def reference_core(algebra):
+    """The structure constants as the tuple-keyed design formed them: each
+    product by ``vec_matrix_product`` of the basis coordinates, solved on
+    the basis by ``EchelonBasis.solve``, integral values as int."""
+    cols = [matrix_to_vec(b) for b in algebra.basis]
+
+    def pairs(sol):
+        return tuple((k, c) for k, c in enumerate(_integral(sol)) if c)
+
+    table = tuple(tuple(pairs(EchelonBasis.solve(cols, vec_matrix_product(a, b))) for b in cols)
+                  for a in cols)
+    unit = EchelonBasis.solve(cols, matrix_to_vec(algebra.presentation.identity))
+    return StructureAlgebra(len(cols), table, _integral(unit))
+
+
+@st.composite
+def finite_presentations(draw):
+    """A finite-dimensional presentation over QQ or QQ[x], and a level cap.
+
+    Upper-triangular constant generators plus x^e times strictly
+    upper-triangular ones (constant over QQ), conjugated by an integer
+    unimodular matrix.  The cap is the default or the least one that sees
+    the filtration stabilize, which packs the growth keys in the smallest
+    base.
+    """
+    ring = draw(st.sampled_from([Q, X]))
+    n = draw(st.integers(2, 3))
+    small = st.integers(-2, 2)
+    gens = [Matrix(ring, [[draw(small) if j >= i else 0 for j in range(n)] for i in range(n)])
+            for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(1, 2))):
+        scale = ring.one if ring is Q else X.gen(0) ** draw(st.integers(1, 2))
+        gens.append(Matrix(ring, [[scale * X.constant(draw(small)) if j > i else 0
+                                   for j in range(n)] for i in range(n)]
+                           ) if ring is X else Matrix(
+            ring, [[draw(small) if j > i else 0 for j in range(n)] for i in range(n)]))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    moves = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(-2, 2)), max_size=3))
+    conj, inv = transvection_product(ring, n, moves)
+    pres = AlgebraPresentation(ring, n, [conj * g * inv for g in gens], "finite")
+    if draw(st.booleans()):
+        return pres, growth_sequence(pres, 30).stabilized_at + 1
+    return pres, 30
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(finite_presentations())
+def test_packed_structure_constants_equal_a_tuple_key_build(case):
+    pres, level_cap = case
+    algebra = close_to_fdalg(pres, level_cap=level_cap)
+    assert typed_core(algebra.core) == typed_core(reference_core(algebra))
+
+
+def test_structure_constants_repack_when_products_pass_the_codec(monkeypatch):
+    # x*N for N a conjugated nilpotent Jordan block of size 3: the span
+    # {1, xN, x^2 N^2} has top degree 2 and stabilizes at level 2, so a level
+    # cap of 3 packs the growth keys in base 4, while (x^2 N^2)^2 = 0 sums
+    # terms of degree 4 that cancel.
+    conj, inv = transvection_product(Q, 3, [((2, 0), 1), ((0, 1), 2), ((1, 2), -1)])
+    nil = conj * (e(0, 1, 3) + e(1, 2, 3)) * inv
+    square = nil * nil
+    assert any(square.rows[i][k] * square.rows[k][j] for i in range(3) for j in range(3)
+               for k in range(3))
+    pres = AlgebraPresentation(X, 3, [Matrix(X, [[X.gen(0) * X.constant(c) for c in row]
+                                                 for row in nil.rows])], "x*N")
+    made = []
+
+    class CountingCodec(KeyCodec):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(fdalg, "KeyCodec", CountingCodec)
+    algebra = close_to_fdalg(pres, level_cap=3)
+    assert made == [(3, 1, 5)]
+    assert algebra.dim == 3
+    assert typed_core(algebra.core) == typed_core(reference_core(algebra))
+    made.clear()
+    close_to_fdalg(pres)  # the default cap packs in base 31: no re-pack
+    assert made == []
+
+
+def refine_every_pair(core):
+    """The refinement loop without the scalar shortcut: every (z, e) pair
+    goes through ``min_poly``.  Returns the idempotents, the number of pairs
+    and the number of scalar pairs (minimal polynomial of degree 1)."""
+    center = _center_coords(core)
+    if len(center) == 1:
+        return [core.unit], 0, 0
+    idems, pairs, scalar_pairs = [core.unit], 0, 0
+    for z in center:
+        refined = []
+        for idem in idems:
+            u = core.mul(z, idem)
+            mu = core.min_poly(u, unit=idem)
+            pairs += 1
+            scalar_pairs += mu.degree() == 1
+            pieces = list(_spectral_idempotents(core, u, idem, mu))
+            assert len(pieces) == mu.degree()
+            refined.extend(pieces)
+        idems = refined
+    return sorted(idems), pairs, scalar_pairs
+
+
+def rebuilt_quotient(core):
+    """The quotient by the zero ideal rebuilt product by product."""
+    lifts = [core.basis_vector(i) for i in range(core.dim)]
+    table = tuple(tuple(tuple((k, c) for k, c in enumerate(_integral(core.mul(a, b))) if c)
+                        for b in lifts) for a in lifts)
+    return StructureAlgebra(core.dim, table, _integral(core.unit))
+
+
+def shortcut_cases():
+    yield "diag(1..8)", AlgebraPresentation(Q, 8, [Matrix.diagonal(Q, [5, 2, 8, 1, 7, 3, 6, 4])])
+    yield "UT_6", AlgebraPresentation(
+        Q, 6, signed_conjugate(upper_triangular_pres(6).generators, 6, [((0, 4), -1)]))
+    gens = [e(i, j, 4) for i in range(4) for j in range(4) if abs(i - j) == 1]
+    yield "M_4", AlgebraPresentation(Q, 4, signed_conjugate(gens, 4, [((0, 3), 1), ((2, 1), -1)]))
+    yield "P UT_3", AlgebraPresentation(
+        Q, 3, [P_CONJ * g * P_INV for g in upper_triangular_pres(3).generators])
+
+
+@pytest.mark.parametrize("label", ["diag(1..8)", "UT_6", "M_4", "P UT_3"])
+def test_central_refinement_shortcut_keeps_the_idempotents(label, monkeypatch):
+    pres = dict(shortcut_cases())[label]
+    algebra = close_to_fdalg(pres)
+    core = algebra.core
+    bar = quotient_by_ideal(core, _radical(core)[0])[0]
+    expected, pairs, scalar_pairs = refine_every_pair(bar)
+
+    calls = []
+    min_poly = StructureAlgebra.min_poly
+
+    def counting(self, u, unit=None):
+        calls.append((u, unit))
+        return min_poly(self, u, unit)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(StructureAlgebra, "min_poly", counting)
+        assert central_primitive_idempotents_coords(bar) == expected
+    # min_poly runs only for pairs with z*e outside QQ*e, and for every one.
+    assert all(len(fdalg._coord_span([idem, u])[1]) == 2 for u, idem in calls)
+    assert len(calls) == pairs - scalar_pairs
+    if label == "diag(1..8)":
+        assert scalar_pairs > 0
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fdalg, "central_primitive_idempotents_coords",
+                      lambda core: refine_every_pair(core)[0])
+        every_pair = wedderburn_complement(algebra)
+    assert wedderburn_complement(algebra) == every_pair
+
+
+@pytest.mark.parametrize("label", ["M_2", "M_3", "M_4", "diag(1..5)", "diag(1..8)"])
+def test_quotient_by_the_zero_radical_is_the_algebra(label):
+    if label.startswith("M_"):
+        algebra = closed_matrix_algebra(int(label[2]), False)
+    else:
+        d = int(label[-2])
+        algebra = close_to_fdalg(AlgebraPresentation(Q, d, [Matrix.diagonal(Q, range(1, d + 1))]))
+    core = algebra.core
+    assert _radical(core)[0] == []
+    bar, project, section = quotient_by_ideal(core, [])
+    assert bar is core
+    assert bar == rebuilt_quotient(core)
+    assert typed_core(bar) == typed_core(rebuilt_quotient(core))
+    for i in range(core.dim):
+        b = core.basis_vector(i)
+        assert project(b) == b and section(b) == b
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_ideal_check_rejects_one_sided_ideals(k):
+    # The first column of M_k is a left ideal and its first row a right ideal;
+    # the check reads z*b_i and b_i*z from the table and must reject both.
+    algebra = closed_matrix_algebra(k, False)
+    column = [tuple(algebra.coords_of(e(i, 0, k))) for i in range(k)]
+    row = [tuple(algebra.coords_of(e(0, j, k))) for j in range(k)]
+    for one_sided in (column, row):
+        with pytest.raises(InternalCheckError, match="two-sided"):
+            fdalg._verify_radical(algebra.core, one_sided)
+    upper = closed_matrix_algebra(k, True)
+    strict = [tuple(upper.coords_of(e(i, j, k))) for i in range(k) for j in range(i + 1, k)]
+    assert fdalg._verify_radical(upper.core, strict) == k

@@ -19,7 +19,6 @@ from gkgrowth.spans import (
     membership_ratfunc,
     packed_product,
     solve_q_linear,
-    vec_matrix_product,
     vec_sort_key,
 )
 
@@ -307,6 +306,29 @@ def test_packed_keys_keep_tuple_order_and_decode(data):
     assert [codec.unpack(p) for p in packed] == keys
     assert sorted(keys) == [codec.unpack(p) for p in sorted(packed)]
     assert len(set(packed)) == len(set(keys))
+
+
+def vec_matrix_product(a: dict, b: dict) -> dict:
+    """``matrix_to_vec(A * B)`` from ``matrix_to_vec(A)`` and ``matrix_to_vec(B)``.
+
+    The reference for ``packed_product``: it works on the tuple-keyed
+    coordinates directly, entry (i, k) of A times entry (k, j) of B landing
+    on (i, j), monomial exponents adding.
+    """
+    by_row = {}
+    for (k, j, deg, mono), c in b.items():
+        by_row.setdefault(k, []).append((j, deg, mono, c))
+    out = {}
+    for (i, k, deg, mono), c in a.items():
+        for j, deg2, mono2, c2 in by_row.get(k, ()):
+            key = (i, j, deg + deg2, tuple(map(int.__add__, mono, mono2)))
+            value = out.get(key)
+            value = c * c2 if value is None else value + c * c2
+            if value:
+                out[key] = value
+            else:
+                del out[key]
+    return out
 
 
 INT_COEFFS = st.sampled_from([1, -1, 2, -3, QQ(1, 2), QQ(-3, 2)])
