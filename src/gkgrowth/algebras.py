@@ -172,7 +172,7 @@ class _CoordinateLevel:
                 level = level._previous
             reps = level._representatives
             for level in reversed(pending):
-                reps = reps + tuple(self._reader.matrix(v) for v in level._new_vecs)
+                reps = reps + tuple(level._reader.matrix(v) for v in level._new_vecs)
                 level._representatives = reps
         return self._representatives
 
@@ -281,7 +281,7 @@ class FiltrationStore:
         generators = tuple(sorted(set(pres.generators), key=Matrix.sort_key))
         key = (pres.ring, pres.size, basis_cap, generators)
         builder = self._builders.get(key)
-        if builder is None or not builder.reaches(max_level):
+        if builder is None:
             builder = _new_builder(pres.ring, pres.size, generators, max_level, basis_cap)
             self._builders[key] = builder
         try:
@@ -317,9 +317,6 @@ class _Builder:
     are built.
     """
 
-    def reaches(self, n: int) -> bool:
-        return True
-
     def table(self, pres: AlgebraPresentation, n: int) -> GrowthTable:
         """The table a fresh build at ``n`` gives, for ``pres``, extending as needed.
 
@@ -344,18 +341,18 @@ class _CoordinateBuilder(_Builder):
     """The filtration over QQ or QQ[x...] on packed integer coordinates.
 
     The state is the echelon basis, the last level's new vectors indexed
-    by row and the levels built so far.  The packing base covers levels
-    up to the ``max_level`` it was made for (any level when every
-    generator entry is constant, or once the filtration has stabilized).
+    by row and the levels built so far.  The packing base is the one a
+    fresh build at the highest level asked for uses.  Extending past it
+    re-packs the basis rows, the generator columns and the last level's new
+    vectors; levels already built keep their own reader.
     """
 
     def __init__(self, ring, size: int, generators, max_level: int, basis_cap: int):
-        gen_vecs = [_integral_vec(matrix_to_vec(g)) for g in generators]
+        self._gen_vecs = [_integral_vec(matrix_to_vec(g)) for g in generators]
         # A level-n candidate has total degree at most n times the largest
         # degree of a generator entry, so no digit of a packed key carries.
-        degree = max((k[2] for vec in gen_vecs for k in vec), default=0)
-        self._reach = max(max_level, 1) if degree else None
-        base = max(max_level, 1) * max(degree, 1) + 1
+        self._degree = max((k[2] for vec in self._gen_vecs for k in vec), default=0)
+        base = max(max_level, 1) * max(self._degree, 1) + 1
         codec = KeyCodec(size, getattr(ring, "nvars", 0), base)
         self._reader = _LevelReader(codec, ring, (size, size))
         self._basis_cap = basis_cap
@@ -363,17 +360,22 @@ class _CoordinateBuilder(_Builder):
         ident = Matrix.identity(ring, size)
         ident_vec = codec.pack_vec(_integral_vec(matrix_to_vec(ident)))
         self._basis.insert(ident_vec)
-        self._gen_cols = [codec.by_column(codec.pack_vec(g)) for g in gen_vecs]
+        self._gen_cols = [codec.by_column(codec.pack_vec(g)) for g in self._gen_vecs]
         self._new_rows = [codec.by_row(ident_vec)]
         self.dims = [1]
         self.levels = [_CoordinateLevel(self._reader, self._basis.pivot_rows(), [ident_vec],
                                         None, (ident,))]
         self.stabilized_at = None
 
-    def reaches(self, n: int) -> bool:
-        return self.stabilized_at is not None or self._reach is None or n <= self._reach
-
     def _extend(self, top: int, label: str) -> None:
+        old = self._reader.codec
+        if top * self._degree >= old.base:
+            # Packing is monotone in the keys, so the echelon rows keep their order.
+            codec = KeyCodec(old.size, old.nvars, top * self._degree + 1)
+            self._basis.rekey(lambda key: codec.pack(old.unpack(key)))
+            self._gen_cols = [codec.by_column(codec.pack_vec(g)) for g in self._gen_vecs]
+            self._new_rows = [codec.by_row(old.repack(v, codec)) for v in self.levels[-1]._new_vecs]
+            self._reader = _LevelReader(codec, self._reader.ring, self._reader.shape)
         basis, gen_cols, new_rows = self._basis, self._gen_cols, self._new_rows
         dims, levels, reader = self.dims, self.levels, self._reader
         for n in range(len(dims), top + 1):

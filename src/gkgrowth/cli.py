@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Subcommands: growth, gkdim, compare, charclosure, cayley, pipeline,
-exbig.  Presentations are read from small text documents::
+Each subcommand is one row of ``_COMMANDS``: help text, document
+arguments, default ``--max-n``, allowed formats (default first) and a
+render function ``(config, *inputs) -> str``.  One runner, ``_run``,
+serves them all.  Presentations are read from small text documents::
 
     # lines starting with '#' are comments
     label: laurent-pair
@@ -42,7 +44,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from ._ratio import ratio_str
@@ -218,16 +220,24 @@ def _parse_window(text: str) -> tuple:
     return window
 
 
-def _config_from_args(args, default_format: str) -> RunConfig:
-    return RunConfig(
+def _config_from_args(args, formats: tuple) -> RunConfig:
+    """The run's configuration; ``formats`` are the command's, its default first."""
+    if args.max_n < 0:
+        raise InputError(f"--max-n must be at least 0, got {args.max_n}")
+    if args.word_len is not None and args.word_len < 1:
+        raise InputError(f"--word-len must be at least 1, got {args.word_len}")
+    config = RunConfig(
         max_level=args.max_n,
         window=_parse_window(args.window) if args.window else None,
         word_length=args.word_len,
         basis_cap=args.cap,
-        out_format=args.format or default_format,
+        out_format=args.format or formats[0],
         cache_dir=args.cache_dir,
         out_path=args.out,
     )
+    if config.out_format not in formats:
+        raise InputError(f"'{args.command}' emits structured reports; use --format json")
+    return config
 
 
 def _render_json(record: dict) -> str:
@@ -281,184 +291,134 @@ def _with_cache(command: str, payloads: Sequence[bytes], config: RunConfig, comp
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: one render function and one table row each
 
 
-def _cmd_growth(args) -> int:
-    config = _config_from_args(args, "csv")
-    payload = _read_payload(args.file)
-
-    def compute() -> str:
-        pres = _parse_payload(payload, args.file)
-        table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap)
-        if config.out_format == "csv":
-            rows = [f"{n},{dim}" for n, dim in enumerate(table.dims)]
-            return _render_csv_rows("n,dim", rows)
-        return _render_json(
-            {
-                "schema": "growth-table",
-                "label": table.label,
-                "max_n": table.max_level,
-                "dims": list(table.dims),
-                "stabilized_at": table.stabilized_at,
-            }
-        )
-
-    _with_cache("growth", [payload], config, compute)
-    return EXIT_OK
+def _growth_table(config: RunConfig, pres: AlgebraPresentation):
+    return growth_sequence(pres, config.max_level, basis_cap=config.basis_cap)
 
 
-def _cmd_gkdim(args) -> int:
-    config = _config_from_args(args, "csv")
-    payload = _read_payload(args.file)
-
-    def compute() -> str:
-        pres = _parse_payload(payload, args.file)
-        table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap)
-        estimate = gk_estimate(table, config.window)
-        if config.out_format == "csv":
-            row = f"{estimate.method},{ratio_str(estimate.value)},{estimate.window[0]},{estimate.window[1]}"
-            return _render_csv_rows("method,value,window_lo,window_hi", [row])
-        return _render_json({"schema": "gk-estimate", "label": table.label, **estimate.as_record()})
-
-    _with_cache("gkdim", [payload], config, compute)
-    return EXIT_OK
+def _render_growth(config: RunConfig, pres: AlgebraPresentation) -> str:
+    table = _growth_table(config, pres)
+    if config.out_format == "csv":
+        return _render_csv_rows("n,dim", [f"{n},{dim}" for n, dim in enumerate(table.dims)])
+    return _render_json({"schema": "growth-table", "label": table.label, "max_n": table.max_level,
+                         "dims": list(table.dims), "stabilized_at": table.stabilized_at})
 
 
-def _cmd_compare(args) -> int:
-    config = _config_from_args(args, "json")
-    _require_json(config, "compare")
-    payloads = [_read_payload(args.file_a), _read_payload(args.file_b)]
-
-    def compute() -> str:
-        pres_a = _parse_payload(payloads[0], args.file_a)
-        pres_b = _parse_payload(payloads[1], args.file_b)
-        window = config.window or (1, config.max_level)
-        if window[1] > config.max_level:
-            raise InputError("window upper bound exceeds --max-n")
-        table_a = growth_sequence(pres_a, config.max_level, basis_cap=config.basis_cap)
-        table_b = growth_sequence(pres_b, config.max_level, basis_cap=config.basis_cap)
-        report = equivalence_check(table_a, table_b, window)
-        return _render_json({"schema": "equivalence-report", **report.as_record()})
-
-    _with_cache("compare", payloads, config, compute)
-    return EXIT_OK
+def _render_gkdim(config: RunConfig, pres: AlgebraPresentation) -> str:
+    table = _growth_table(config, pres)
+    estimate = gk_estimate(table, config.window)
+    if config.out_format == "csv":
+        row = f"{estimate.method},{ratio_str(estimate.value)},{estimate.window[0]},{estimate.window[1]}"
+        return _render_csv_rows("method,value,window_lo,window_hi", [row])
+    return _render_json({"schema": "gk-estimate", "label": table.label, **estimate.as_record()})
 
 
-def _cmd_charclosure(args) -> int:
-    config = _config_from_args(args, "json")
-    _require_json(config, "charclosure")
-    payload = _read_payload(args.file)
+def _render_compare(config: RunConfig, pres_a, pres_b) -> str:
+    window = config.window or (1, config.max_level)
+    if window[0] > window[1]:
+        raise InputError("the default window 1:0 is empty; --max-n must be at least 1")
+    if window[1] > config.max_level:
+        raise InputError("window upper bound exceeds --max-n")
+    tables = [_growth_table(config, pres) for pres in (pres_a, pres_b)]
+    report = equivalence_check(*tables, window)
+    return _render_json({"schema": "equivalence-report", **report.as_record()})
 
-    def compute() -> str:
-        pres = _parse_payload(payload, args.file)
-        word_length = config.word_length or pres.size * pres.size
-        closure = trace_algebra_generators(pres, word_length)
-        base_table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap)
-        closure_table = growth_sequence(closure.closure, config.max_level,
-                                        basis_cap=config.basis_cap)
+
+def _closure_record(config: RunConfig, pres, word_length: int, module_check=False) -> dict:
+    """Central generators, base and closure tables with their estimates, and
+    with ``module_check`` the module evidence (found before either estimate)."""
+    closure = trace_algebra_generators(pres, word_length)
+    tables = {"base": _growth_table(config, pres),
+              "closure": _growth_table(config, closure.closure)}
+    record = {"central_generators": [pres.ring.element_str(c) for c in closure.central_generators]}
+    if module_check:
         finiteness = module_finiteness_check(closure)
-        return _render_json(
-            {
-                "schema": "char-closure",
-                "label": pres.label,
-                "word_length": word_length,
-                "central_generators": [pres.ring.element_str(c) for c in closure.central_generators],
-                "base": {"dims": list(base_table.dims),
-                         **gk_estimate(base_table, config.window).as_record()},
-                "closure": {"dims": list(closure_table.dims),
-                            **gk_estimate(closure_table, config.window).as_record()},
-                "module_finiteness": {
-                    "stabilized": finiteness.stabilized,
-                    "rank": finiteness.rank,
-                    "note": finiteness.note,
-                },
-            }
-        )
-
-    _with_cache("charclosure", [payload], config, compute)
-    return EXIT_OK
+        record["module_finiteness"] = {"stabilized": finiteness.stabilized,
+                                       "rank": finiteness.rank, "note": finiteness.note}
+    for name, table in tables.items():
+        record[name] = {"dims": list(table.dims), **gk_estimate(table, config.window).as_record()}
+    return record
 
 
-def _cmd_cayley(args) -> int:
-    config = _config_from_args(args, "json")
-    _require_json(config, "cayley")
-    payload = _read_payload(args.file)
+def _render_charclosure(config: RunConfig, pres: AlgebraPresentation) -> str:
+    word_length = config.word_length or pres.size * pres.size
+    return _render_json({"schema": "char-closure", "label": pres.label, "word_length": word_length,
+                         **_closure_record(config, pres, word_length, module_check=True)})
+
+
+def _render_cayley(config: RunConfig, pres: AlgebraPresentation) -> str:
+    subjects = list(pres.generators)
+    subjects += [a * b for a in pres.generators for b in pres.generators]
+    for idx, mat in enumerate(subjects):
+        if not cayley_hamilton_check(mat).is_zero:
+            raise InternalCheckError(f"characteristic polynomial does not annihilate element {idx}")
+    results = [{"element": idx, "result": "Zero"} for idx in range(len(subjects))]
+    return _render_json({"schema": "cayley-check", "label": pres.label, "checked": len(results),
+                         "results": results, "verdict": "all checks Zero"})
+
+
+def _render_pipeline(config: RunConfig, pres: AlgebraPresentation) -> str:
+    window = config.window or (min(4, config.max_level), config.max_level)
+    report = run_pipeline(pres, PipelineConfig(max_level=config.max_level, window=window,
+                                               word_length=config.word_length,
+                                               basis_cap=config.basis_cap))
+    return _render_json({"schema": "pipeline-report", **report.as_record()})
+
+
+def _render_exbig(config: RunConfig, m: int) -> str:
+    pres, _embedding = build_diagonal_embedding_example(m)
+    return _render_json({"schema": "diagonal-example", "m": m,
+                         **_closure_record(config, pres, config.word_length or 1)})
+
+
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    render: Callable[..., str]    # (config, *inputs) -> the output text
+    documents: tuple = ("file",)  # document arguments; without any, the integer m
+    formats: tuple = ("json",)    # the allowed --format values, the default first
+    max_n: int = 12               # the default --max-n
+
+
+_COMMANDS = {
+    "growth": _Command("print the growth table of a presentation", _render_growth,
+                       formats=("csv", "json")),
+    "gkdim": _Command("estimate the growth degree of a presentation", _render_gkdim,
+                      formats=("csv", "json")),
+    "compare": _Command("two-sided dominance report for two presentations", _render_compare,
+                        documents=("file_a", "file_b")),
+    "charclosure": _Command("characteristic closure and its growth", _render_charclosure),
+    "cayley": _Command("Cayley-Hamilton zero checks for the generators", _render_cayley),
+    "pipeline": _Command("run the commutative-witness reduction pipeline", _render_pipeline),
+    "exbig": _Command("the m-variable diagonal example and its closure", _render_exbig,
+                      documents=(), max_n=10),
+}
+
+
+def _run(args) -> int:
+    """Run one subcommand: configure, read each document once, then compute or replay.
+
+    The cache key hashes the bytes read, and the computation parses those
+    same bytes.  ``exbig`` reads no document: its m names the cache entry.
+    """
+    command = _COMMANDS[args.command]
+    config = _config_from_args(args, command.formats)
+    paths = [getattr(args, name) for name in command.documents]
+    name, inputs = args.command, ()
+    if not paths:
+        if args.m < 1:
+            raise InputError("m must be a positive integer")
+        name, inputs = f"{name}:{args.m}", (args.m,)
+    payloads = [_read_payload(path) for path in paths]
 
     def compute() -> str:
-        pres = _parse_payload(payload, args.file)
-        subjects = list(pres.generators)
-        subjects += [a * b for a in pres.generators for b in pres.generators]
-        results = []
-        for idx, mat in enumerate(subjects):
-            witness = cayley_hamilton_check(mat)
-            if not witness.is_zero:
-                raise InternalCheckError(
-                    f"characteristic polynomial does not annihilate element {idx}"
-                )
-            results.append({"element": idx, "result": "Zero"})
-        return _render_json(
-            {"schema": "cayley-check", "label": pres.label, "checked": len(results),
-             "results": results, "verdict": "all checks Zero"}
-        )
+        documents = [_parse_payload(payload, path) for payload, path in zip(payloads, paths)]
+        return command.render(config, *documents, *inputs)
 
-    _with_cache("cayley", [payload], config, compute)
+    _with_cache(name, payloads, config, compute)
     return EXIT_OK
-
-
-def _cmd_pipeline(args) -> int:
-    config = _config_from_args(args, "json")
-    _require_json(config, "pipeline")
-    payload = _read_payload(args.file)
-
-    def compute() -> str:
-        pres = _parse_payload(payload, args.file)
-        window = config.window or (min(4, config.max_level), config.max_level)
-        pipeline_config = PipelineConfig(
-            max_level=config.max_level,
-            window=window,
-            word_length=config.word_length,
-            basis_cap=config.basis_cap,
-        )
-        report = run_pipeline(pres, pipeline_config)
-        return _render_json({"schema": "pipeline-report", **report.as_record()})
-
-    _with_cache("pipeline", [payload], config, compute)
-    return EXIT_OK
-
-
-def _cmd_exbig(args) -> int:
-    config = _config_from_args(args, "json")
-    _require_json(config, "exbig")
-    if args.m < 1:
-        raise InputError("m must be a positive integer")
-
-    def compute() -> str:
-        pres, _embedding = build_diagonal_embedding_example(args.m)
-        word_length = config.word_length or 1
-        closure = trace_algebra_generators(pres, word_length)
-        base_table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap)
-        closure_table = growth_sequence(closure.closure, config.max_level,
-                                        basis_cap=config.basis_cap)
-        return _render_json(
-            {
-                "schema": "diagonal-example",
-                "m": args.m,
-                "central_generators": [pres.ring.element_str(c) for c in closure.central_generators],
-                "base": {"dims": list(base_table.dims),
-                         **gk_estimate(base_table, config.window).as_record()},
-                "closure": {"dims": list(closure_table.dims),
-                            **gk_estimate(closure_table, config.window).as_record()},
-            }
-        )
-
-    _with_cache(f"exbig:{args.m}", [], config, compute)
-    return EXIT_OK
-
-
-def _require_json(config: RunConfig, command: str):
-    if config.out_format != "json":
-        raise InputError(f"'{command}' emits structured reports; use --format json")
 
 
 # ---------------------------------------------------------------------------
@@ -485,43 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
         "for finitely generated matrix algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("growth", help="print the growth table of a presentation")
-    p.add_argument("file")
-    _add_common(p, 12)
-    p.set_defaults(func=_cmd_growth)
-
-    p = sub.add_parser("gkdim", help="estimate the growth degree of a presentation")
-    p.add_argument("file")
-    _add_common(p, 12)
-    p.set_defaults(func=_cmd_gkdim)
-
-    p = sub.add_parser("compare", help="two-sided dominance report for two presentations")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    _add_common(p, 12)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("charclosure", help="characteristic closure and its growth")
-    p.add_argument("file")
-    _add_common(p, 12)
-    p.set_defaults(func=_cmd_charclosure)
-
-    p = sub.add_parser("cayley", help="Cayley-Hamilton zero checks for the generators")
-    p.add_argument("file")
-    _add_common(p, 12)
-    p.set_defaults(func=_cmd_cayley)
-
-    p = sub.add_parser("pipeline", help="run the commutative-witness reduction pipeline")
-    p.add_argument("file")
-    _add_common(p, 12)
-    p.set_defaults(func=_cmd_pipeline)
-
-    p = sub.add_parser("exbig", help="the m-variable diagonal example and its closure")
-    p.add_argument("m", type=int)
-    _add_common(p, 10)
-    p.set_defaults(func=_cmd_exbig)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for document in command.documents:
+            p.add_argument(document)
+        if not command.documents:
+            p.add_argument("m", type=int)
+        _add_common(p, command.max_n)
+    parser.set_defaults(func=_run)
     return parser
 
 

@@ -333,8 +333,8 @@ def close_to_fdalg(
     # residual check; the growth run's base need not cover it.
     top = max((k[2] for row in rows for k in row), default=0)
     if 2 * top >= codec.base:
-        codec = KeyCodec(codec.size, codec.nvars, 2 * top + 1)
-        packed = [codec.pack_vec(row) for row in rows]
+        wide = KeyCodec(codec.size, codec.nvars, 2 * top + 1)
+        codec, packed = wide, [codec.repack(row, wide) for row in packed]
     leads = {min(row): k for k, row in enumerate(packed)}
 
     def pairs(product: dict) -> tuple:

@@ -232,6 +232,13 @@ class EchelonBasis:
             self._occur.setdefault(k, set()).add(lead)
         return EXTENDED
 
+    def rekey(self, key) -> None:
+        """Map every key through ``key``, which must preserve the key order, so
+        the rows stay reduced echelon rows.  ``pivot_rows`` copies keep the old keys."""
+        self._pivot_rows = {key(lead): {key(k): c for k, c in row.items()}
+                            for lead, row in self._pivot_rows.items()}
+        self._occur = {key(k): {key(lead) for lead in leads} for k, leads in self._occur.items()}
+
     def snapshot(self) -> "SpanSnapshot":
         return SpanSnapshot(tuple(self.rows()))
 
@@ -446,6 +453,10 @@ class KeyCodec:
 
     def pack_vec(self, vec: dict) -> dict:
         return {self.pack(k): c for k, c in vec.items()}
+
+    def repack(self, vec: dict, codec: "KeyCodec") -> dict:
+        """A vector packed by this codec, packed by ``codec`` instead."""
+        return {codec.pack(self.unpack(k)): c for k, c in vec.items()}
 
     def unpack_vec(self, vec: dict) -> dict:
         """Tuple keys and QQ values: a packed vector at the API boundary."""

@@ -365,14 +365,18 @@ def test_store_tables_equal_fresh_tables(scenario):
         ]
 
 
-def test_store_rebuilds_a_polynomial_filtration_past_its_packing_base():
+def test_store_extends_a_polynomial_filtration_past_its_packing_base():
     store = FiltrationStore()
     pres = poly_pres(R2)
     assert growth_sequence(pres, 2, store=store).dims == (1, 3, 6)
     (low,) = store._builders.values()
-    assert growth_sequence(pres, 5, store=store).dims == growth_sequence(pres, 5).dims
+    extended, fresh = growth_sequence(pres, 5, store=store), growth_sequence(pres, 5)
+    assert extended.dims == fresh.dims
     (high,) = store._builders.values()
-    assert high is not low
+    assert high is low
+    (codec, rows), (fresh_codec, fresh_rows) = (
+        extended.level(5).packed_basis(), fresh.level(5).packed_basis())
+    assert codec.base == fresh_codec.base and rows == fresh_rows
     assert growth_sequence(pres, 3, store=store).dims == (1, 3, 6, 10)
     assert next(iter(store._builders.values())) is high
     # Constant entries pack at degree 0, so a QQ builder reaches any level.
@@ -390,6 +394,25 @@ def test_store_rebuilds_a_polynomial_filtration_past_its_packing_base():
     table = growth_sequence(nil, 30, store=store)
     assert list(store._builders.values()) == [stable]
     assert table.dims == growth_sequence(nil, 30).dims == (1,) + (2,) * 30
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(small_presentations(rings=(R2,), sizes=(1, 2)),
+       st.lists(st.integers(1, 2), min_size=2, max_size=3))
+def test_a_table_extended_across_repacks_equals_one_built_in_one_go(pres, steps):
+    store = FiltrationStore()
+    for n in itertools.accumulate(steps):
+        table = growth_sequence(pres, n, store=store)
+    fresh = growth_sequence(pres, n)
+    assert (table.dims, table.stabilized_at) == (fresh.dims, fresh.stabilized_at)
+    # From the top down, so a level's representatives are first read from a
+    # level built after a re-pack.
+    for k in reversed(range(n + 1)):
+        got, want = table.level(k), fresh.level(k)
+        assert got.representatives == want.representatives
+        assert got.snapshot.rows == want.snapshot.rows
+        (codec, rows), (want_codec, want_rows) = got.packed_basis(), want.packed_basis()
+        assert [codec.repack(row, want_codec) for row in rows] == want_rows
 
 
 def test_store_drops_a_builder_whose_extension_raises(monkeypatch):

@@ -213,6 +213,51 @@ def test_compare_rejects_csv(write, capsys):
     assert "--format json" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "{missing}", "{missing}"],
+    ["charclosure", "{missing}"],
+    ["cayley", "{missing}"],
+    ["pipeline", "{missing}"],
+    ["exbig", "3"],
+    ["exbig", "0"],
+], ids=lambda argv: "-".join(argv).replace("{missing}", "missing"))
+def test_csv_on_a_report_is_refused_before_any_document_is_read(capsys, tmp_path, argv):
+    missing = str(tmp_path / "missing.alg")
+    argv = [missing if a == "{missing}" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == f"input error: '{argv[0]}' emits structured reports; use --format json\n"
+
+
+def test_exbig_needs_a_positive_m(capsys):
+    code, out, err = run_cli(capsys, "exbig", "0")
+    assert (code, out, err) == (2, "", "input error: m must be a positive integer\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["growth", "{mat2}", "--max-n", "-1"], "--max-n must be at least 0, got -1",
+                 id="growth-max-n-negative"),
+    pytest.param(["compare", "{mat2}", "{mat2}", "--max-n", "0"],
+                 "the default window 1:0 is empty; --max-n must be at least 1",
+                 id="compare-max-n-0"),
+    pytest.param(["charclosure", "{mat2}", "--word-len", "-2"],
+                 "--word-len must be at least 1, got -2", id="charclosure-word-len-negative"),
+    pytest.param(["exbig", "2", "--word-len", "-1"], "--word-len must be at least 1, got -1",
+                 id="exbig-word-len-negative"),
+    pytest.param(["charclosure", "{mat2}", "--word-len", "0", "--max-n", "8"],
+                 "--word-len must be at least 1, got 0", id="charclosure-word-len-0"),
+    pytest.param(["exbig", "2", "--word-len", "0", "--max-n", "8"],
+                 "--word-len must be at least 1, got 0", id="exbig-word-len-0"),
+    # At --word-len 0 the pipeline used to harvest no central scalar at all.
+    pytest.param(["pipeline", "{laurent}", "--word-len", "0", "--max-n", "8"],
+                 "--word-len must be at least 1, got 0", id="pipeline-word-len-0"),
+])
+def test_an_out_of_range_flag_is_malformed_input(write, capsys, argv, message):
+    paths = {"{mat2}": write("mat2.alg", MAT2), "{laurent}": write("laurent.alg", LAURENT)}
+    code, out, err = run_cli(capsys, *[paths.get(a, a) for a in argv])
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
 def test_cayley(write, capsys):
     path = write("mat2.alg", MAT2)
     code, out, _ = run_cli(capsys, "cayley", path)
@@ -446,7 +491,12 @@ def parser_reuse_sequence(state: Path) -> list:
         ["pipeline", mat2, "--seed", "3"],
         ["gkdim", str(state / "missing.alg")],
         ["compare", mat2, str(state / "missing.alg")],
+        ["exbig", "0"],
+        ["exbig", "0", "--format", "csv"],
     ]
+    sequence += [[sub, str(state / "missing.alg"), "--format", "csv"]
+                 for sub in ("charclosure", "cayley", "pipeline")]
+    sequence.append(["compare", str(state / "missing.alg"), mat2, "--format", "csv"])
     rng.shuffle(sequence)
     return sequence
 
