@@ -24,6 +24,22 @@ representatives are those of plain matrix products.  Each level keeps
 its basis rows and new vectors packed; its snapshot and representatives
 (tuple keys, QQ values only) are built on first read.
 
+Over QQ and QQ[x...] a product that equals another one of its level is
+not formed.  Each new vector b of a level records its parents, every
+pair (h, c) of a generator index and a new vector of the level before
+whose product equals b.  Level n skips g*b when b has a parent (h, c)
+with h < g in the sorted generator order, g*h == h*g, and g*c is a new
+vector r of level n-1: then g*b = g*h*c = h*g*c = h*r, a product of
+level n with a smaller generator index, and the skipped pair takes the
+outcome of (h, r).  A chain of such twins lowers the generator index at
+each step, so it ends at a product that is formed.  Whether g and h
+commute is read once, exactly, from level 2, which forms both g*h and
+h*g when g and h are new at level 1 (nothing is skipped before level 3);
+a pair not read there is never taken to commute.  The set of distinct
+candidates is therefore the one the all-products loop forms, and their
+sorted order, the representatives, the dimensions, ``stabilized_at`` and
+the point where a basis cap fires are the same.
+
 The filtration is built by a resumable builder that keeps its echelon
 basis (QQ(x): its representatives) and last level's new vectors, and
 extends one level at a time.  ``growth_sequence`` serves every table
@@ -283,6 +299,8 @@ class FiltrationStore:
         builder = self._builders.get(key)
         if builder is None:
             builder = _new_builder(pres.ring, pres.size, generators, max_level, basis_cap)
+            # The identity alone is level 0; a builder it already overflows is not kept.
+            _check_cap(builder.dims[0], basis_cap, 0, pres.label)
             self._builders[key] = builder
         try:
             return builder.table(pres, max_level)
@@ -340,11 +358,14 @@ class _Builder:
 class _CoordinateBuilder(_Builder):
     """The filtration over QQ or QQ[x...] on packed integer coordinates.
 
-    The state is the echelon basis, the last level's new vectors indexed
-    by row and the levels built so far.  The packing base is the one a
-    fresh build at the highest level asked for uses.  Extending past it
-    re-packs the basis rows, the generator columns and the last level's new
-    vectors; levels already built keep their own reader.
+    The state is the echelon basis, which of the last level's products
+    became which of its new vectors, which generators commute, and the
+    levels built so far.  A level's new vectors are indexed by row when
+    the next level is built, so the top level's never are.  The packing
+    base is the one a fresh build at the highest level asked for uses.
+    Extending past it re-packs the basis rows, the generator columns and
+    the last level's new vectors; levels already built keep their own
+    reader, and the index-based product state carries over unchanged.
     """
 
     def __init__(self, ring, size: int, generators, max_level: int, basis_cap: int):
@@ -361,7 +382,11 @@ class _CoordinateBuilder(_Builder):
         ident_vec = codec.pack_vec(_integral_vec(matrix_to_vec(ident)))
         self._basis.insert(ident_vec)
         self._gen_cols = [codec.by_column(codec.pack_vec(g)) for g in self._gen_vecs]
-        self._new_rows = [codec.by_row(ident_vec)]
+        # (generator index, index of a new vector of the level before the
+        # last) -> index of the last level's new vector that product equals.
+        self._made = {}
+        # For each generator, the generators before it that commute with it; read at level 2.
+        self._partners = [()] * len(generators)
         self.dims = [1]
         self.levels = [_CoordinateLevel(self._reader, self._basis.pivot_rows(), [ident_vec],
                                         None, (ident,))]
@@ -369,28 +394,65 @@ class _CoordinateBuilder(_Builder):
 
     def _extend(self, top: int, label: str) -> None:
         old = self._reader.codec
+        vecs = self.levels[-1]._new_vecs
         if top * self._degree >= old.base:
             # Packing is monotone in the keys, so the echelon rows keep their order.
             codec = KeyCodec(old.size, old.nvars, top * self._degree + 1)
             self._basis.rekey(lambda key: codec.pack(old.unpack(key)))
             self._gen_cols = [codec.by_column(codec.pack_vec(g)) for g in self._gen_vecs]
-            self._new_rows = [codec.by_row(old.repack(v, codec)) for v in self.levels[-1]._new_vecs]
             self._reader = _LevelReader(codec, self._reader.ring, self._reader.shape)
-        basis, gen_cols, new_rows = self._basis, self._gen_cols, self._new_rows
+            vecs = [old.repack(v, codec) for v in vecs]
+        basis, gen_cols, made, partners = self._basis, self._gen_cols, self._made, self._partners
         dims, levels, reader = self.dims, self.levels, self._reader
         for n in range(len(dims), top + 1):
-            candidates = sorted(
-                (packed_product(g, b) for g in gen_cols for b in new_rows), key=vec_sort_key
-            )
+            new_rows = [reader.codec.by_row(v) for v in vecs]
+            parents = [[] for _ in new_rows]
+            for (h, c), b in made.items():
+                parents[b].append((h, c))
+            pairs, products, twins = [], [], []
+            for g, col in enumerate(gen_cols):
+                below = partners[g]
+                for b, row in enumerate(new_rows):
+                    for h, c in parents[b] if below else ():
+                        # b = h*c, g*c = r and g*h = h*g, so g*b = h*r: the
+                        # product of a smaller generator index this level forms.
+                        if h in below and (g, c) in made:
+                            twins.append(((g, b), (h, made[g, c])))
+                            break
+                    else:
+                        pairs.append((g, b))
+                        products.append(packed_product(col, row))
+            if n == 2:
+                # Level 1's new vectors are generators, so this level formed
+                # g*h and h*g for each pair of them, skipping none; comparing
+                # the two decides whether they commute with no extra product.
+                # A pair not both new at level 1 is never taken to commute.
+                width = len(new_rows)
+                partners = self._partners = [set() for _ in gen_cols]
+                for (g, _), r_g in made.items():
+                    for (h, _), r_h in made.items():
+                        if h < g and products[g * width + r_h] == products[h * width + r_g]:
+                            partners[g].add(h)
+            order = sorted(range(len(products)), key=list(map(vec_sort_key, products)).__getitem__)
+            made = {}
             new_vecs = []
-            previous_vec = None
-            for vec in candidates:
-                if vec == previous_vec:
-                    continue
-                previous_vec = vec
-                if basis.insert(vec) == EXTENDED:
-                    _check_cap(basis.dimension, self._basis_cap, n, label)
-                    new_vecs.append(vec)
+            previous_vec = new = None
+            for i in order:
+                vec = products[i]
+                if vec != previous_vec:
+                    previous_vec = vec
+                    new = None
+                    if basis.insert(vec) == EXTENDED:
+                        _check_cap(basis.dimension, self._basis_cap, n, label)
+                        new = len(new_vecs)
+                        new_vecs.append(vec)
+                if new is not None:
+                    made[pairs[i]] = new
+            # Twins come in increasing generator index, so a twin that was
+            # itself skipped has its outcome already.
+            for pair, twin in twins:
+                if twin in made:
+                    made[pair] = made[twin]
             dims.append(basis.dimension)
             levels.append(_CoordinateLevel(reader, basis.pivot_rows(), new_vecs, levels[-1]))
             if not new_vecs:
@@ -398,8 +460,8 @@ class _CoordinateBuilder(_Builder):
                 # the stable span is closed under multiplication by generators.
                 self.stabilized_at = n - 1
                 break
-            new_rows = [reader.codec.by_row(v) for v in new_vecs]
-        self._new_rows = new_rows
+            vecs = new_vecs
+        self._made = made
 
 
 class _RatFuncBuilder(_Builder):

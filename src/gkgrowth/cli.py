@@ -226,6 +226,8 @@ def _config_from_args(args, formats: tuple) -> RunConfig:
         raise InputError(f"--max-n must be at least 0, got {args.max_n}")
     if args.word_len is not None and args.word_len < 1:
         raise InputError(f"--word-len must be at least 1, got {args.word_len}")
+    if args.cap < 0:
+        raise InputError(f"--cap must be at least 0, got {args.cap}")
     config = RunConfig(
         max_level=args.max_n,
         window=_parse_window(args.window) if args.window else None,

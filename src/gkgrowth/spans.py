@@ -427,13 +427,14 @@ class KeyCodec:
     makes the key of their product the sum of the two (``packed_product``).
     """
 
-    __slots__ = ("size", "nvars", "base", "_cell")
+    __slots__ = ("size", "nvars", "base", "_cell", "_row")
 
     def __init__(self, size: int, nvars: int, base: int):
         self.size = size
         self.nvars = nvars
         self.base = base
         self._cell = base ** (nvars + 1)  # the weight of one step of i*d + j
+        self._row = size * self._cell  # the weight of one step of i
 
     def pack(self, key: tuple) -> int:
         i, j, deg, mono = key
@@ -468,14 +469,15 @@ class KeyCodec:
         for key, c in vec.items():
             cell, rest = divmod(key, self._cell)
             i, k = divmod(cell, self.size)
-            out.setdefault(k, []).append((i * self.size * self._cell + rest, c))
+            out.setdefault(k, []).append((i * self._row + rest, c))
         return out
 
     def by_row(self, vec: dict) -> dict:
         """A packed right factor as row k -> [(key without k, value)]."""
         out = {}
+        row = self._row
         for key, c in vec.items():
-            k, rest = divmod(key, self.size * self._cell)
+            k, rest = divmod(key, row)
             out.setdefault(k, []).append((rest, c))
         return out
 

@@ -17,10 +17,18 @@ from gkgrowth.algebras import (
     element_membership_at_level,
     growth_sequence,
 )
+from gkgrowth.closure import build_diagonal_embedding_example, trace_algebra_generators
 from gkgrowth.errors import CapExceededError, RingMismatchError, ShapeMismatchError
 from gkgrowth.matrices import Matrix, mat_mul
 from gkgrowth.poly import Poly, PolyRing, RatFuncField, RationalField
-from gkgrowth.spans import EXTENDED, EchelonBasis, matrix_to_vec, vec_sort_key
+from gkgrowth.spans import (
+    EXTENDED,
+    EchelonBasis,
+    KeyCodec,
+    matrix_to_vec,
+    packed_product,
+    vec_sort_key,
+)
 
 Q = RationalField()
 RX = PolyRing(("x",))
@@ -180,6 +188,18 @@ def test_basis_cap_fires_at_the_insertion_that_passes_it(ring, monkeypatch):
     with pytest.raises(CapExceededError, match="basis size 4 exceeds cap 3 at level 1 "):
         growth_sequence(AlgebraPresentation(ring, 3, gens, "mat3"), 2, basis_cap=3)
     assert len(calls) < 1 + len(gens)
+
+
+@pytest.mark.parametrize("pres", [mat2_pres(), poly_pres(RX), laurent_pres()],
+                         ids=["QQ", "QQ[x]", "QQ(x)"])
+def test_a_cap_of_0_fires_at_level_0(pres):
+    # The identity alone passes a cap of 0, and no builder is kept.
+    store = FiltrationStore()
+    with pytest.raises(CapExceededError,
+                       match=f"^basis size 1 exceeds cap 0 at level 0 of {pres.label!r}$"):
+        growth_sequence(pres, 3, basis_cap=0, store=store)
+    assert not store._builders
+    assert growth_sequence(pres, 0, basis_cap=1, store=store).dims == (1,)
 
 
 COEFFS = st.sampled_from(
@@ -454,6 +474,111 @@ def test_one_shot_growth_leaves_no_basis_alive(monkeypatch):
             del table
     finally:
         gc.enable()
+
+
+def all_products_growth(pres, max_level):
+    """The coordinate growth loop that forms every generator-times-new-vector product.
+
+    The reference for the builder, which skips a product it can prove
+    equal to another one of its level.  Returns the codec, one
+    ``(packed rows in leading-key order, new vectors, products formed,
+    distinct candidates)`` per level and ``stabilized_at``.
+    """
+    gens = [algebras._integral_vec(matrix_to_vec(g))
+            for g in sorted(set(pres.generators), key=Matrix.sort_key)]
+    degree = max((k[2] for vec in gens for k in vec), default=0)
+    codec = KeyCodec(pres.size, getattr(pres.ring, "nvars", 0),
+                     max(max_level, 1) * max(degree, 1) + 1)
+    cols = [codec.by_column(codec.pack_vec(g)) for g in gens]
+    ident = codec.pack_vec(algebras._integral_vec(matrix_to_vec(pres.identity)))
+    basis = EchelonBasis()
+    basis.insert(ident)
+
+    def level(new_vecs, formed, distinct):
+        rows = basis.pivot_rows()
+        return [rows[k] for k in sorted(rows)], new_vecs, formed, distinct
+
+    new_vecs = [ident]
+    levels = [level(new_vecs, 0, 1)]
+    for n in range(1, max_level + 1):
+        products = [packed_product(col, codec.by_row(b)) for col in cols for b in new_vecs]
+        candidates = sorted(products, key=vec_sort_key)
+        distinct = [v for i, v in enumerate(candidates) if i == 0 or v != candidates[i - 1]]
+        new_vecs = [v for v in distinct if basis.insert(v) == EXTENDED]
+        levels.append(level(new_vecs, len(products), len(distinct)))
+        if not new_vecs:
+            return codec, levels, n - 1
+    return codec, levels, None
+
+
+@st.composite
+def commuting_presentations(draw):
+    """Central (scalar times I), diagonal and arbitrary generators over QQ or QQ[x1,x2]."""
+    ring = draw(st.sampled_from((Q, R2)))
+    size = draw(st.integers(1, 3))
+
+    def scalar():
+        if ring == Q:
+            return draw(COEFFS)
+        return Poly(R2, {draw(MONOMIALS): draw(COEFFS) for _ in range(draw(st.integers(0, 2)))})
+
+    kinds = {
+        "central": lambda: Matrix.diagonal(ring, [scalar()] * size),
+        "diagonal": lambda: Matrix.diagonal(ring, [scalar() for _ in range(size)]),
+        "any": lambda: Matrix(ring, [[scalar() for _ in range(size)] for _ in range(size)]),
+    }
+    gens = [kinds[kind]() for kind in draw(
+        st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=4))]
+    return AlgebraPresentation(ring, size, gens, "commuting")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(commuting_presentations(), st.data())
+def test_skipped_products_leave_every_level_as_the_all_products_loop_builds_it(pres, data):
+    top = 5 if pres.ring == Q else 4
+    # Requests from a first level up to the top, one level at a time, extend
+    # the builder past its packing base when an entry has positive degree.
+    gens = sorted(set(pres.generators), key=Matrix.sort_key)
+    store = FiltrationStore()
+    for n in range(data.draw(st.integers(0, top)), top + 1):
+        table = growth_sequence(pres, n, store=store)
+        (builder,) = store._builders.values()
+        new_reps = [level.representatives[dim:] for level, dim in
+                    zip(builder.levels, [0] + builder.dims)]
+        # What a skip rests on: each recorded product of the last level is exact.
+        for (g, c), r in builder._made.items():
+            assert gens[g] * new_reps[-2][c] == new_reps[-1][r]
+    codec, levels, stabilized_at = all_products_growth(pres, top)
+    assert table.stabilized_at == stabilized_at
+    assert list(table.dims[: len(levels)]) == [len(rows) for rows, *_ in levels]
+    for n, (rows, new_vecs, _, _) in enumerate(levels):
+        level = table.level(n)
+        level_codec, level_rows = level.packed_basis()
+        assert [level_codec.repack(row, codec) for row in level_rows] == rows
+        assert [level_codec.repack(vec, codec) for vec in level._new_vecs] == new_vecs
+
+
+@pytest.mark.parametrize("m, level, formed_by_every_pair", [(3, 10, 2020), (4, 5, 625)])
+def test_a_closure_filtration_forms_each_distinct_product_once(monkeypatch, m, level,
+                                                               formed_by_every_pair):
+    # The closure <D, e_1 I, ..., e_m I> of exbig m has commuting generators.
+    closure = trace_algebra_generators(build_diagonal_embedding_example(m)[0], 1).closure
+    _, levels, _ = all_products_growth(closure, level)
+    assert sum(formed for *_, formed, _ in levels) == formed_by_every_pair
+    distinct = sum(count for *_, count in levels[1:])
+    calls = []
+    real = algebras.packed_product
+
+    def counting(left, right):
+        calls.append(None)
+        return real(left, right)
+
+    monkeypatch.setattr(algebras, "packed_product", counting)
+    table = growth_sequence(closure, level)
+    pairs = len(closure.generators) * (len(closure.generators) - 1) // 2
+    # Level 2 forms both g*h and h*g of each pair: that decides they commute.
+    assert len(calls) <= distinct + pairs
+    assert list(table.dims) == [len(rows) for rows, *_ in levels]
 
 
 def test_presentation_validation():

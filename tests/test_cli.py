@@ -165,6 +165,22 @@ def test_growth_cap_exit_code(write, capsys):
     assert "cap" in err
 
 
+def test_a_cap_of_0_is_exceeded_at_level_0(write, capsys):
+    path = write("mat2.alg", MAT2)
+    code, out, err = run_cli(capsys, "growth", path, "--cap", "0")
+    assert (code, out) == (3, "")
+    assert err == ("resource cap exceeded: basis size 1 exceeds cap 0 at level 0 "
+                   "of 'mat2'\n")
+
+
+def test_exbig_3_prints_its_pinned_bytes(capsys):
+    # The default --max-n 10 reaches the closure levels past 8, where the
+    # growth loop skips the most products.
+    code, out, err = run_cli(capsys, "exbig", "3")
+    assert (code, err) == (0, "")
+    assert out.encode() == (Path(__file__).parent / "exbig3.out").read_bytes()
+
+
 def test_gkdim(write, capsys):
     path = write("poly2.alg", POLY_2VAR)
     code, out, _ = run_cli(capsys, "gkdim", path)
@@ -242,6 +258,8 @@ def test_exbig_needs_a_positive_m(capsys):
                  id="compare-max-n-0"),
     pytest.param(["charclosure", "{mat2}", "--word-len", "-2"],
                  "--word-len must be at least 1, got -2", id="charclosure-word-len-negative"),
+    pytest.param(["growth", "{mat2}", "--cap", "-1"], "--cap must be at least 0, got -1",
+                 id="growth-cap-negative"),
     pytest.param(["exbig", "2", "--word-len", "-1"], "--word-len must be at least 1, got -1",
                  id="exbig-word-len-negative"),
     pytest.param(["charclosure", "{mat2}", "--word-len", "0", "--max-n", "8"],
