@@ -21,8 +21,9 @@ single ints (``spans.KeyCodec``), and products are formed on those
 vectors.  Packed keys sort like the tuple keys and values compare
 numerically, so the candidate order and the greedy choice of
 representatives are those of plain matrix products.  Each level keeps
-its basis rows and new vectors packed; its snapshot and representatives
-(tuple keys, QQ values only) are built on first read.
+its triangular basis rows and new vectors packed; its reduced rows,
+snapshot and representatives (tuple keys, QQ values only) are built on
+first read.
 
 Over QQ and QQ[x...] a product that equals another one of its level is
 not formed.  Each new vector b of a level records its parents, every
@@ -35,7 +36,8 @@ outcome of (h, r).  A chain of such twins lowers the generator index at
 each step, so it ends at a product that is formed.  Whether g and h
 commute is read once, exactly, from level 2, which forms both g*h and
 h*g when g and h are new at level 1 (nothing is skipped before level 3);
-a pair not read there is never taken to commute.  The set of distinct
+a pair not read there is never taken to commute, and with no commuting
+pair no level records parents.  The set of distinct
 candidates is therefore the one the all-products loop forms, and their
 sorted order, the representatives, the dimensions, ``stabilized_at`` and
 the point where a basis cap fires are the same.
@@ -67,6 +69,7 @@ from .spans import (
     matrix_to_vec,
     membership_ratfunc,
     packed_product,
+    reduced_rows,
     vec_sort_key,
 )
 
@@ -146,8 +149,9 @@ class _LevelReader:
 class _CoordinateLevel:
     """One filtration level over QQ or QQ[x...], built at the boundary on first read.
 
-    The level keeps the basis rows as they stood after it and the vectors
-    it added, all on packed keys.  ``snapshot`` decodes the rows to tuple
+    The level keeps the vectors it added and the triangular basis rows as
+    they stood after it, all on packed keys; the first ``packed_basis``
+    reduces the rows, into new dicts.  ``snapshot`` decodes them to tuple
     keys and QQ values; ``representatives`` is the previous level's tuple
     followed by this level's new matrices.
     """
@@ -157,7 +161,7 @@ class _CoordinateLevel:
     def __init__(self, reader: _LevelReader, rows: dict, new_vecs: list, previous,
                  representatives=None):
         self._reader = reader
-        self._rows = rows
+        self._rows = rows  # leading key -> triangular row; once read, the reduced rows in order
         self._new_vecs = new_vecs
         self._previous = previous
         self._snapshot = None
@@ -170,14 +174,14 @@ class _CoordinateLevel:
     @property
     def snapshot(self) -> SpanSnapshot:
         if self._snapshot is None:
-            rows = self._rows
-            self._snapshot = SpanSnapshot(tuple(self._reader.row(rows[k]) for k in sorted(rows)))
+            self._snapshot = SpanSnapshot(tuple(map(self._reader.row, self.packed_basis()[1])))
         return self._snapshot
 
     def packed_basis(self) -> tuple:
-        """(codec, packed basis rows in increasing leading-key order), values as stored."""
-        rows = self._rows
-        return self._reader.codec, [rows[k] for k in sorted(rows)]
+        """(codec, reduced packed basis rows in increasing leading-key order), values as stored."""
+        if isinstance(self._rows, dict):
+            self._rows = [row for _, row in sorted(reduced_rows(self._rows).items())]
+        return self._reader.codec, list(self._rows)
 
     @property
     def representatives(self) -> tuple:
@@ -359,13 +363,14 @@ class _CoordinateBuilder(_Builder):
     """The filtration over QQ or QQ[x...] on packed integer coordinates.
 
     The state is the echelon basis, which of the last level's products
-    became which of its new vectors, which generators commute, and the
-    levels built so far.  A level's new vectors are indexed by row when
-    the next level is built, so the top level's never are.  The packing
-    base is the one a fresh build at the highest level asked for uses.
-    Extending past it re-packs the basis rows, the generator columns and
-    the last level's new vectors; levels already built keep their own
-    reader, and the index-based product state carries over unchanged.
+    became which of its new vectors (kept while a level may skip), which
+    generators commute, and the levels built so far.  A level's new
+    vectors are indexed by row when the next level is built, so the top
+    level's never are.  The packing base is the one a fresh build at the
+    highest level asked for uses.  Extending past it re-packs the basis
+    rows, the generator columns and the last level's new vectors; levels
+    already built keep their own reader, and the index-based product
+    state carries over unchanged.
     """
 
     def __init__(self, ring, size: int, generators, max_level: int, basis_cap: int):
@@ -388,7 +393,7 @@ class _CoordinateBuilder(_Builder):
         # For each generator, the generators before it that commute with it; read at level 2.
         self._partners = [()] * len(generators)
         self.dims = [1]
-        self.levels = [_CoordinateLevel(self._reader, self._basis.pivot_rows(), [ident_vec],
+        self.levels = [_CoordinateLevel(self._reader, self._basis.triangular_rows(), [ident_vec],
                                         None, (ident,))]
         self.stabilized_at = None
 
@@ -406,36 +411,43 @@ class _CoordinateBuilder(_Builder):
         dims, levels, reader = self.dims, self.levels, self._reader
         for n in range(len(dims), top + 1):
             new_rows = [reader.codec.by_row(v) for v in vecs]
-            parents = [[] for _ in new_rows]
-            for (h, c), b in made.items():
-                parents[b].append((h, c))
+            width = len(new_rows)
             pairs, products, twins = [], [], []
-            for g, col in enumerate(gen_cols):
-                below = partners[g]
-                for b, row in enumerate(new_rows):
-                    for h, c in parents[b] if below else ():
-                        # b = h*c, g*c = r and g*h = h*g, so g*b = h*r: the
-                        # product of a smaller generator index this level forms.
-                        if h in below and (g, c) in made:
-                            twins.append(((g, b), (h, made[g, c])))
-                            break
-                    else:
-                        pairs.append((g, b))
-                        products.append(packed_product(col, row))
+            if any(partners):
+                parents = [[] for _ in new_rows]
+                for (h, c), b in made.items():
+                    parents[b].append((h, c))
+                for g, col in enumerate(gen_cols):
+                    below = partners[g]
+                    for b, row in enumerate(new_rows):
+                        for h, c in parents[b] if below else ():
+                            # b = h*c, g*c = r and g*h = h*g, so g*b = h*r: the
+                            # product of a smaller generator index this level forms.
+                            if h in below and (g, c) in made:
+                                twins.append(((g, b), (h, made[g, c])))
+                                break
+                        else:
+                            pairs.append((g, b))
+                            products.append(packed_product(col, row))
+            else:
+                products = [packed_product(col, row) for col in gen_cols for row in new_rows]
             if n == 2:
                 # Level 1's new vectors are generators, so this level formed
                 # g*h and h*g for each pair of them, skipping none; comparing
                 # the two decides whether they commute with no extra product.
                 # A pair not both new at level 1 is never taken to commute.
-                width = len(new_rows)
                 partners = self._partners = [set() for _ in gen_cols]
                 for (g, _), r_g in made.items():
                     for (h, _), r_h in made.items():
                         if h < g and products[g * width + r_h] == products[h * width + r_g]:
                             partners[g].add(h)
-            order = sorted(range(len(products)), key=list(map(vec_sort_key, products)).__getitem__)
-            made = {}
-            new_vecs = []
+            made, new_vecs = {}, []
+            keep = n == 1 or any(partners)  # whether the next level reads the outcomes
+            if keep:
+                order = sorted(range(len(products)), key=list(map(vec_sort_key, products)).__getitem__)
+            else:
+                products.sort(key=vec_sort_key)
+                order = range(len(products))
             previous_vec = new = None
             for i in order:
                 vec = products[i]
@@ -446,15 +458,15 @@ class _CoordinateBuilder(_Builder):
                         _check_cap(basis.dimension, self._basis_cap, n, label)
                         new = len(new_vecs)
                         new_vecs.append(vec)
-                if new is not None:
-                    made[pairs[i]] = new
+                if new is not None and keep:
+                    made[pairs[i] if pairs else divmod(i, width)] = new
             # Twins come in increasing generator index, so a twin that was
             # itself skipped has its outcome already.
             for pair, twin in twins:
                 if twin in made:
                     made[pair] = made[twin]
             dims.append(basis.dimension)
-            levels.append(_CoordinateLevel(reader, basis.pivot_rows(), new_vecs, levels[-1]))
+            levels.append(_CoordinateLevel(reader, basis.triangular_rows(), new_vecs, levels[-1]))
             if not new_vecs:
                 # Every generator-times-representative product reduced to zero:
                 # the stable span is closed under multiplication by generators.
@@ -492,6 +504,7 @@ class _RatFuncBuilder(_Builder):
             basis = EchelonBasis()
             for v in vecs[: len(reps)]:
                 basis.insert(v)
+            basis.pivot_rows()  # reduces the rows once, before candidates reduce against them
             new_reps = []
             for v, mat in zip(vecs[len(reps):], candidates):
                 if basis.insert(v) == EXTENDED:

@@ -483,7 +483,7 @@ def quotient_by_ideal(core: StructureAlgebra, ideal: Sequence[tuple]):
     span, _ = _coord_span(ideal)
     if not span.dimension:
         return core, _integral, tuple
-    pivot_positions = sorted(k[0] for k in span._pivot_rows)
+    pivot_positions = [k[0] for k in span.leading_keys()]
     free_positions = [i for i in range(core.dim) if i not in set(pivot_positions)]
     index_of = {pos: idx for idx, pos in enumerate(free_positions)}
 

@@ -7,12 +7,12 @@ coordinatizes canonically.  Matrices over QQ(x) have no fixed monomial
 coordinate system; a finite family is handled by clearing the least
 common denominator of all entries first, which is injective on spans.
 
-``EchelonBasis`` keeps a reduced row-echelon family: leading keys are
-distinct, each leading coefficient is 1, and every stored vector is
-fully reduced against all the others.  The reduced form of a span is
-unique for a fixed key order, so bases are canonical regardless of
-insertion history.  Stored row dicts are never mutated in place (rows
-are replaced wholesale on re-reduction), so snapshots may share rows.
+``EchelonBasis`` keeps triangular rows: leading keys are distinct, each
+leading coefficient is 1, and an insert leaves earlier rows alone.  Reads
+see the reduced rows, formed once by the first read that needs them.  The
+reduced form of a span is unique for a fixed key order, so reads are
+canonical regardless of insertion history.  Stored row dicts are never
+mutated in place (reduction replaces them), so snapshots may share rows.
 
 ``EchelonBasis`` also accepts vectors with ``int`` values: a row whose
 pivot is +-1 stays integral, any other pivot divides exactly in QQ.
@@ -28,6 +28,7 @@ matrix from ring elements directly, without coercing each entry again.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 from ._ratio import QQ, as_ratio
@@ -117,13 +118,6 @@ def vec_sort_key(vec: dict) -> tuple:
     return tuple(sorted(vec.items()))
 
 
-def _axpy(target: dict, coeff, source: dict) -> dict:
-    """target - coeff * source, as a new dict."""
-    out = dict(target)
-    _axpy_inplace(out, coeff, source)
-    return out
-
-
 def _axpy_inplace(target: dict, coeff, source: dict):
     for k, v in source.items():
         cur = target.get(k)
@@ -146,37 +140,59 @@ def _qq_values(row: dict) -> dict:
 
 
 def _reduce_against(v: dict, pivot_rows) -> dict:
-    """Fully reduce the mutable dict ``v`` against reduced pivot rows.
+    """Reduce the mutable dict ``v`` to zero at every key of triangular ``pivot_rows``.
 
-    ``pivot_rows`` maps leading key -> row (leading coefficient 1, zero at
-    every other pivot key).  Since reduction by a pivot introduces only
-    non-pivot keys, a single sorted pass over the initial hits suffices.
-    A pivot key that survives it (an explicit zero value, or a row that
-    is not reduced) raises InternalCheckError.
-    """
-    hits = [k for k in v if k in pivot_rows]
-    if hits:
-        hits.sort()
-        for k in hits:
-            coeff = v.get(k)
-            if coeff:
-                _axpy_inplace(v, coeff, pivot_rows[k])
-        if [k for k in v if k in pivot_rows]:
+    A row may bring in larger pivot keys, so each one brought in goes on a
+    heap and keys are cleared smallest first.  A key that survives its turn
+    (held with value 0, say) raises InternalCheckError."""
+    heap = [k for k in v if k in pivot_rows]
+    heapify(heap)
+    while heap:
+        lead = heappop(heap)
+        coeff = v.get(lead)
+        if coeff:
+            for k, c in pivot_rows[lead].items():
+                cur = v.get(k)
+                if cur is None:
+                    v[k] = -(coeff * c)
+                    if k in pivot_rows:
+                        heappush(heap, k)
+                else:
+                    cur = cur - coeff * c
+                    if cur:
+                        v[k] = cur
+                    else:
+                        del v[k]
+        if lead in v:
             raise InternalCheckError("a pivot key survived reduction against the echelon rows")
     return v
 
 
+def reduced_rows(pivot_rows: dict) -> dict:
+    """The reduced rows of triangular ``pivot_rows``, as a new dict: each row,
+    in decreasing leading-key order, reduced once against the rows after it,
+    which are reduced already.  Rows are replaced, never mutated."""
+    done = {}
+    for lead in sorted(pivot_rows, reverse=True):
+        row = pivot_rows[lead]
+        if not done.keys().isdisjoint(row):
+            row = _reduce_against(dict(row), done)
+        done[lead] = row
+    return done
+
+
 class EchelonBasis:
-    """Incremental reduced row-echelon basis over a field.
+    """Incremental row-echelon basis over a field, reduced when read.
 
     Scalars default to QQ but any exact field element type with
     ``+ - * /``, truthiness-as-nonzero and total ordering of the keys
     works (QQ(x) elements are used for scalar-field computations).
+    Reads of rows (``rows``, ``pivot_rows``, ``coordinates``, ...) reduce them.
     """
 
     def __init__(self):
         self._pivot_rows = {}  # leading key -> row dict (rows replaced, not mutated)
-        self._occur = {}       # key -> set of leading keys of rows containing it
+        self._reduced = True   # whether the rows are reduced against each other
 
     @property
     def dimension(self) -> int:
@@ -184,11 +200,21 @@ class EchelonBasis:
 
     def rows(self) -> list:
         """Row dicts in increasing leading-key order (canonical), int values as QQ."""
-        return [_qq_values(self._pivot_rows[k]) for k in sorted(self._pivot_rows)]
+        return [_qq_values(row) for _, row in sorted(self.pivot_rows().items())]
 
     def pivot_rows(self) -> dict:
-        """A shallow copy of leading key -> stored row, values as stored."""
+        """A shallow copy of leading key -> reduced row, values as stored."""
+        if not self._reduced:
+            self._pivot_rows, self._reduced = reduced_rows(self._pivot_rows), True
         return dict(self._pivot_rows)
+
+    def triangular_rows(self) -> dict:
+        """A shallow copy of leading key -> row as stored, reduced or not."""
+        return dict(self._pivot_rows)
+
+    def leading_keys(self) -> list:
+        """The leading keys in increasing order; reading them reduces no row."""
+        return sorted(self._pivot_rows)
 
     def reduce(self, vec: dict) -> dict:
         """Fully reduce a copy of ``vec`` against the basis."""
@@ -214,37 +240,22 @@ class EchelonBasis:
             if type(inv) is int:
                 inv = QQ(inv)  # exact division in QQ, never int true division
             v = {k: val / inv for k, val in v.items()}
-        # Back-substitution keeps the family fully reduced.  The new pivot
-        # key is strictly larger than the pivot of any row containing it,
-        # so existing leading keys never move.
-        for other in list(self._occur.get(lead, ())):
-            row = self._pivot_rows[other]
-            new_row = _axpy(row, row[lead], v)
-            for k in row:
-                if k not in new_row:
-                    self._occur[k].discard(other)
-            for k in new_row:
-                if k not in row:
-                    self._occur.setdefault(k, set()).add(other)
-            self._pivot_rows[other] = new_row
-        self._pivot_rows[lead] = v
-        for k in v:
-            self._occur.setdefault(k, set()).add(lead)
+        self._pivot_rows[lead] = v  # earlier rows may hold ``lead`` until a read
+        self._reduced = False
         return EXTENDED
 
     def rekey(self, key) -> None:
         """Map every key through ``key``, which must preserve the key order, so
-        the rows stay reduced echelon rows.  ``pivot_rows`` copies keep the old keys."""
+        the rows stay echelon rows.  ``pivot_rows`` copies keep the old keys."""
         self._pivot_rows = {key(lead): {key(k): c for k, c in row.items()}
                             for lead, row in self._pivot_rows.items()}
-        self._occur = {key(k): {key(lead) for lead in leads} for k, leads in self._occur.items()}
 
     def snapshot(self) -> "SpanSnapshot":
         return SpanSnapshot(tuple(self.rows()))
 
     def coordinates(self, vec: dict, one=QQ(1)) -> Optional[list]:
         """Coordinates of ``vec`` on ``rows()``, or None outside the span."""
-        return _pivot_coordinates(self._pivot_rows, vec, one)
+        return _pivot_coordinates(self.pivot_rows(), vec, one)
 
     def kernel(self, keys: Sequence, one=QQ(1)) -> list:
         """Canonical basis of the null space of the stored rows.
@@ -256,18 +267,16 @@ class EchelonBasis:
         annihilated by every row.
         """
         zero = one - one
+        rows = self.pivot_rows()
         position = {k: i for i, k in enumerate(keys)}
-        out = []
-        for free in keys:
-            if free in self._pivot_rows:
-                continue
-            vec = [zero] * len(keys)
-            vec[position[free]] = one
-            for lead in self._occur.get(free, ()):
-                vec[position[lead]] = -self._pivot_rows[lead][free]
-            out.append(tuple(vec))
+        free = {f: [one if k == f else zero for k in keys] for f in keys if f not in rows}
+        for lead, row in rows.items():
+            for k, c in row.items():  # a reduced row's other keys are free
+                if k != lead:
+                    free[k][position[lead]] = -c
+        out = [tuple(vec) for vec in free.values()]
         for vec in out:
-            for row in self._pivot_rows.values():
+            for row in rows.values():
                 if sum((c * vec[position[k]] for k, c in row.items()), zero):
                     raise InternalCheckError("kernel vector is not annihilated by a row")
         return out
@@ -296,10 +305,8 @@ class EchelonBasis:
             return None
         zero = one - one
         solution = [zero] * n
-        for i in range(n):
-            row = basis._pivot_rows.get(i)
-            if row is not None:
-                solution[i] = row.get(n, zero)
+        for i, row in basis.pivot_rows().items():  # n is no pivot, so i < n
+            solution[i] = row.get(n, zero)
         check = dict(target)
         for x, col in zip(solution, columns):
             if x:

@@ -25,6 +25,7 @@ from gkgrowth.spans import (
     EXTENDED,
     EchelonBasis,
     KeyCodec,
+    matrix_from_vec,
     matrix_to_vec,
     packed_product,
     vec_sort_key,
@@ -586,3 +587,41 @@ def test_presentation_validation():
         AlgebraPresentation(Q, 2, [], "empty")
     with pytest.raises(ShapeMismatchError):
         AlgebraPresentation(Q, 2, [Matrix(Q, [[1]])], "wrong-size")
+
+
+
+def _exbig3_closure():
+    return trace_algebra_generators(build_diagonal_embedding_example(3)[0], 1).closure
+
+
+def _polynomial_pair():
+    x1, x2 = R2.gens()
+    return AlgebraPresentation(
+        R2, 2, [Matrix(R2, [[x1, 1], [0, x2]]), Matrix(R2, [[x2, 0], [x1, 2]])], "pair")
+
+
+@pytest.mark.parametrize("make, top", [(_exbig3_closure, 7), (_polynomial_pair, 4)],
+                         ids=["exbig3-closure", "QQ[x1,x2]"])
+def test_levels_read_out_of_order_equal_the_all_products_reference(make, top):
+    pres = make()
+    table = growth_sequence(pres, top)
+    codec, levels, _ = all_products_growth(pres, top)
+    assert list(table.dims) == [len(rows) for rows, *_ in levels]
+    reps, want_reps = [], []
+    for _, new_vecs, *_ in levels:
+        reps += [matrix_from_vec(pres.ring, (pres.size, pres.size), codec.unpack_vec(v))
+                 for v in new_vecs]
+        want_reps.append(tuple(reps))
+    # Levels share row dicts, so reducing one level must leave the rows the
+    # others keep as they were.
+    kept = [[dict(row) for row in level._rows.values()] for level in table.levels]
+    order = (top, 0, top // 2)
+    for n in order + order:
+        level, want_rows = table.level(n), levels[n][0]
+        level_codec, level_rows = level.packed_basis()
+        assert [level_codec.repack(row, codec) for row in level_rows] == want_rows
+        assert level.snapshot.rows == tuple(codec.unpack_vec(row) for row in want_rows)
+        assert level.representatives == want_reps[n]
+        for m, other in enumerate(table.levels):
+            if m not in order:
+                assert [dict(row) for row in other._rows.values()] == kept[m]

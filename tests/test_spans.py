@@ -373,3 +373,190 @@ def test_packed_product_at_the_top_digit():
     top = codec.pack((1, 1, 5, (5, 0)))
     assert top in product
     assert codec.pack((1, 1, 5, (4, 1))) < top < codec.pack((1, 2, 0, (0, 0)))
+
+
+class EagerEchelonBasis:
+    """The reference for ``EchelonBasis``: reduced rows kept on every insert.
+
+    Each insert reduces its vector against the reduced rows in one sorted
+    pass, then back-substitutes the new row into every earlier row that
+    holds its leading key, found through an index of the rows holding each
+    key.  ``EchelonBasis`` defers that back-substitution to its first read.
+    """
+
+    def __init__(self):
+        self.pivot_rows = {}  # leading key -> reduced row
+        self.occur = {}  # key -> leading keys of the rows holding it
+
+    def reduce(self, vec: dict) -> dict:
+        v = dict(vec)
+        for k in sorted(k for k in vec if k in self.pivot_rows):
+            coeff = v.get(k)
+            if coeff:
+                for key, c in self.pivot_rows[k].items():
+                    value = v.get(key, 0) - coeff * c
+                    if value:
+                        v[key] = value
+                    else:
+                        v.pop(key, None)
+        return v
+
+    def insert(self, vec: dict) -> str:
+        v = self.reduce(vec)
+        if not v:
+            return DEPENDENT
+        lead = min(v)
+        inv = v[lead]
+        if type(inv) is int and inv in (1, -1):
+            v = {k: inv * val for k, val in v.items()}
+        else:
+            inv = QQ(inv)
+            v = {k: val / inv for k, val in v.items()}
+        for other in list(self.occur.get(lead, ())):
+            row = self.pivot_rows[other]
+            coeff = row[lead]
+            new_row = dict(row)
+            for key, c in v.items():
+                value = new_row.get(key, 0) - coeff * c
+                if value:
+                    new_row[key] = value
+                else:
+                    del new_row[key]
+            for k in row:
+                if k not in new_row:
+                    self.occur[k].discard(other)
+            for k in new_row:
+                self.occur.setdefault(k, set()).add(other)
+            self.pivot_rows[other] = new_row
+        self.pivot_rows[lead] = v
+        for k in v:
+            self.occur.setdefault(k, set()).add(lead)
+        return EXTENDED
+
+    def rekey(self, key) -> None:
+        self.pivot_rows = {key(lead): {key(k): c for k, c in row.items()}
+                           for lead, row in self.pivot_rows.items()}
+        self.occur = {key(k): {key(lead) for lead in leads} for k, leads in self.occur.items()}
+
+    def rows(self) -> list:
+        return [{k: QQ(c) for k, c in self.pivot_rows[lead].items()}
+                for lead in sorted(self.pivot_rows)]
+
+    def coordinates(self, vec: dict):
+        leads = sorted(self.pivot_rows)
+        coords = [QQ(vec.get(lead, 0)) for lead in leads]
+        residual = dict(vec)
+        for c, lead in zip(coords, leads):
+            for k, value in self.pivot_rows[lead].items():
+                residual[k] = residual.get(k, 0) - c * value
+        return None if any(residual.values()) else coords
+
+    def kernel(self, keys) -> list:
+        out = []
+        for free in keys:
+            if free not in self.pivot_rows:
+                out.append(tuple(QQ(1) if k == free else -QQ(self.pivot_rows[k].get(free, 0))
+                                 if k in self.pivot_rows else QQ(0) for k in keys))
+        return out
+
+    @classmethod
+    def solve(cls, columns, target):
+        n = len(columns)
+        rows = {}
+        for i, col in enumerate(columns):
+            for k, v in col.items():
+                rows.setdefault(k, {})[i] = v
+        for k, v in target.items():
+            rows.setdefault(k, {})[n] = v
+        basis = cls()
+        for row in rows.values():
+            basis.insert(row)
+        if n in basis.pivot_rows:
+            return None
+        return [QQ(basis.pivot_rows[i].get(n, 0)) if i in basis.pivot_rows else QQ(0)
+                for i in range(n)]
+
+
+BASE_KEYS = 7
+VALUE_KINDS = {
+    "int": st.sampled_from([1, -1, 2, -2, 3, -4]),
+    "QQ": st.sampled_from([QQ(1), QQ(-1), QQ(2), QQ(1, 2), QQ(-3, 2), QQ(2, 3)]),
+}
+
+
+@st.composite
+def basis_sessions(draw):
+    """Key and value kinds and a list of basis operations, each with its vectors.
+
+    Keys are ``(k,)`` tuples or ints (packed keys); vectors draw from
+    ``BASE_KEYS`` base keys, which each ``rekey`` maps through ``2k + 1``.
+    """
+    packed = draw(st.booleans())
+    values = draw(st.sampled_from(sorted(VALUE_KINDS) + ["mixed"]))
+
+    def vector():
+        kind = draw(st.sampled_from(sorted(VALUE_KINDS))) if values == "mixed" else values
+        keys = draw(st.lists(st.integers(0, BASE_KEYS - 1), min_size=1, max_size=4, unique=True))
+        return {k: draw(VALUE_KINDS[kind]) for k in keys}
+
+    ops = draw(st.lists(st.sampled_from(
+        ["insert"] * 5 + ["reduce", "contains", "rows", "pivot_rows", "coordinates", "kernel",
+                          "solve", "rekey"]), min_size=1, max_size=25))
+    session = []
+    for op in ops:
+        if op == "solve":
+            args = ([vector() for _ in range(draw(st.integers(1, 4)))], vector())
+        elif op in ("rows", "pivot_rows", "kernel", "rekey"):
+            args = ()
+        else:
+            args = (vector(),)
+        session.append((op, args))
+    return packed, session
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(basis_sessions())
+def test_a_lazily_reduced_basis_matches_the_eager_reference(data):
+    packed, session = data
+    shift = [lambda k: k]  # base key -> current key
+
+    def key_of(k):
+        k = shift[0](k)
+        return k if packed else (k,)
+
+    def place(vec):
+        return {key_of(k): c for k, c in vec.items()}
+
+    basis, eager = EchelonBasis(), EagerEchelonBasis()
+    for op, args in session:
+        if op == "insert":
+            assert basis.insert(place(args[0])) == eager.insert(place(args[0]))
+        elif op == "reduce":
+            assert basis.reduce(place(args[0])) == eager.reduce(place(args[0]))
+        elif op == "contains":
+            assert basis.contains(place(args[0])) == (not eager.reduce(place(args[0])))
+        elif op == "rows":
+            assert basis.rows() == eager.rows()
+            assert basis.snapshot().rows == tuple(eager.rows())
+        elif op == "pivot_rows":
+            assert basis.pivot_rows() == eager.pivot_rows
+        elif op == "coordinates":
+            assert basis.coordinates(place(args[0])) == eager.coordinates(place(args[0]))
+        elif op == "kernel":
+            keys = [key_of(k) for k in range(BASE_KEYS)]
+            assert basis.kernel(keys) == eager.kernel(keys)
+        elif op == "solve":
+            columns, target = [place(c) for c in args[0]], place(args[1])
+            assert EchelonBasis.solve(columns, target) == EagerEchelonBasis.solve(columns, target)
+        else:
+            old = shift[0]
+            shift[0] = lambda k, old=old: 2 * old(k) + 1
+            if packed:
+                basis.rekey(lambda k: 2 * k + 1)
+                eager.rekey(lambda k: 2 * k + 1)
+            else:
+                basis.rekey(lambda k: (2 * k[0] + 1,))
+                eager.rekey(lambda k: (2 * k[0] + 1,))
+        assert basis.dimension == len(eager.pivot_rows)
+        assert basis.leading_keys() == sorted(eager.pivot_rows)
+    assert basis.pivot_rows() == eager.pivot_rows
