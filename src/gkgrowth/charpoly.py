@@ -48,10 +48,6 @@ class UPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.ring.one
-
     def coefficient(self, k: int):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.ring.zero
 

@@ -48,7 +48,7 @@ from typing import Callable, Optional, Sequence
 
 from . import __version__
 from ._ratio import ratio_str
-from .algebras import AlgebraPresentation, growth_sequence
+from .algebras import DEFAULT_BASIS_CAP, AlgebraPresentation, growth_sequence
 from .charpoly import cayley_hamilton_check
 from .closure import build_diagonal_embedding_example, module_finiteness_check, trace_algebra_generators
 from .errors import (
@@ -72,7 +72,7 @@ EXIT_NOT_SPLIT = 4
 EXIT_INTERNAL = 5
 
 # Bump when the rendering of any cached output changes without a version bump.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ class RunConfig:
     max_level: int = 12
     window: Optional[tuple] = None
     word_length: Optional[int] = None
-    basis_cap: int = 20000
+    basis_cap: int = DEFAULT_BASIS_CAP
     out_format: str = "csv"
     cache_dir: Optional[str] = None
     out_path: Optional[str] = None
@@ -312,7 +312,8 @@ def _render_gkdim(config: RunConfig, pres: AlgebraPresentation) -> str:
     table = _growth_table(config, pres)
     estimate = gk_estimate(table, config.window)
     if config.out_format == "csv":
-        row = f"{estimate.method},{ratio_str(estimate.value)},{estimate.window[0]},{estimate.window[1]}"
+        value = "" if estimate.value is None else ratio_str(estimate.value)
+        row = f"{estimate.method},{value},{estimate.window[0]},{estimate.window[1]}"
         return _render_csv_rows("method,value,window_lo,window_hi", [row])
     return _render_json({"schema": "gk-estimate", "label": table.label, **estimate.as_record()})
 
@@ -433,7 +434,7 @@ def _add_common(parser: argparse.ArgumentParser, default_max_n: int):
     parser.add_argument("--window", type=str, default=None, help="analysis window LO:HI")
     parser.add_argument("--word-len", type=int, default=None,
                         help="characteristic-closure word length cutoff")
-    parser.add_argument("--cap", type=int, default=20000, help="span basis size cap")
+    parser.add_argument("--cap", type=int, default=DEFAULT_BASIS_CAP, help="span basis size cap")
     parser.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (growth/gkdim default csv, reports are json)")
     parser.add_argument("--cache-dir", type=str, default=None, help="result cache directory")

@@ -72,7 +72,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ._ratio import QQ, ZERO, as_ratio
-from .algebras import AlgebraPresentation, FiltrationStore, _integral_vec, growth_sequence
+from .algebras import (
+    DEFAULT_BASIS_CAP,
+    AlgebraPresentation,
+    FiltrationStore,
+    _integral_vec,
+    growth_sequence,
+)
 from .errors import (
     InternalCheckError,
     NonStabilizingError,
@@ -300,7 +306,7 @@ def close_to_fdalg(
     pres: AlgebraPresentation,
     *,
     level_cap: int = 30,
-    basis_cap: int = 20000,
+    basis_cap: int = DEFAULT_BASIS_CAP,
     store: Optional[FiltrationStore] = None,
 ) -> FiniteDimAlgebra:
     """Close the presentation's span and encode it by structure constants.

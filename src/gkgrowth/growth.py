@@ -1,7 +1,10 @@
-"""Growth analysis: dimension-sequence degree estimation, dominance and
-equivalence window checks, and exact verifiers for the growth-comparison
-certificates (bimodule, central regular multiplier, nilpotent adjoin,
-finite commuting adjoin).
+"""Growth analysis: the exact growth degree of a dimension sequence,
+dominance and equivalence window checks, and exact verifiers for the
+growth-comparison certificates (bimodule, central regular multiplier,
+nilpotent adjoin, finite commuting adjoin).
+
+The degree is proved in integer arithmetic by finite differences; a
+tail that is not exactly polynomial gets no degree ("undecided").
 
 Dominance here is an empirical window check: the reported K_min is the
 least positive integer with dims_lhs[n] <= K_min * dims_rhs[n] on the
@@ -19,7 +22,6 @@ or shares with a nested certificate, is built once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -63,36 +65,42 @@ def difference_degree(dims: Sequence[int], tail: int) -> Optional[tuple]:
 
 @dataclass(frozen=True)
 class GkEstimate:
-    """Estimated growth degree of a dimension sequence."""
+    """Exact growth degree of a dimension sequence, or no verdict."""
 
-    method: str          # "difference-degree" or "log-log-slope"
-    value: object        # exact integer (as QQ) for difference-degree
+    method: str               # "difference-degree" or "undecided"
+    value: Optional[QQ]       # the degree; None when undecided
     window: tuple
     note: str
 
     def as_record(self) -> dict:
         return {
             "method": self.method,
-            "value": str(self.value),
+            "value": None if self.value is None else str(self.value),
             "window": list(self.window),
             "note": self.note,
         }
 
 
-def _default_tail(length: int) -> int:
-    tail = min(length // 2, length - 6)
+def _tail_degree(dims: Sequence[int]) -> tuple:
+    """(degree or None, note): ``difference_degree`` on the last
+    min(len // 2, len - 6) entries of ``dims``, which must be at least 3."""
+    tail = min(len(dims) // 2, len(dims) - 6)
     if tail < 3:
-        raise InsufficientDataError(f"growth table of length {length} is too short to estimate")
-    return tail
+        raise InsufficientDataError(f"growth table of length {len(dims)} is too short to estimate")
+    result = difference_degree(dims, tail)
+    if result is None:
+        return None, (f"no difference of order 0 to {len(dims) // 2} is a positive constant "
+                      f"on the last {tail} levels")
+    degree, constant = result
+    return degree, f"order-{degree} difference is constant {constant} on the last {tail} levels"
 
 
 def gk_estimate(table, window: Optional[tuple] = None) -> GkEstimate:
-    """Growth-degree estimate for a table (or a raw dims sequence).
+    """Exact growth degree of a table (or a raw dims sequence).
 
-    Uses the finite-difference degree when the tail is exactly
-    polynomial; otherwise falls back to the least-squares slope of
-    log dims[n] against log n on the window, reported to three decimals
-    together with the fit residual.
+    The degree is the least order whose finite difference is a positive
+    constant on the tail of the whole table, else "undecided".  ``window``
+    is checked and reported, but the test reads that tail whatever it is.
     """
     dims = table.dims if isinstance(table, GrowthTable) else tuple(table)
     top = len(dims) - 1
@@ -101,32 +109,10 @@ def gk_estimate(table, window: Optional[tuple] = None) -> GkEstimate:
     lo, hi = window
     if hi > top or lo < 0 or lo > hi:
         raise InsufficientDataError(f"window {window} not covered by table of max level {top}")
-    tail = _default_tail(len(dims))
-    result = difference_degree(dims, tail)
-    if result is not None:
-        degree, constant = result
-        return GkEstimate(
-            "difference-degree",
-            QQ(degree),
-            window,
-            f"order-{degree} difference is constant {constant} on the last {tail} levels",
-        )
-    points = [(math.log(n), math.log(dims[n])) for n in range(max(lo, 1), hi + 1) if dims[n] > 0]
-    if len(points) < 2:
-        raise InsufficientDataError("not enough positive points for a log-log fit")
-    mean_x = sum(x for x, _ in points) / len(points)
-    mean_y = sum(y for _, y in points) / len(points)
-    sxx = sum((x - mean_x) ** 2 for x, _ in points)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in points)
-    slope = sxy / sxx if sxx else 0.0
-    intercept = mean_y - slope * mean_x
-    residual = sum((y - (slope * x + intercept)) ** 2 for x, y in points)
-    return GkEstimate(
-        "log-log-slope",
-        QQ(round(slope * 1000), 1000),
-        window,
-        f"least-squares slope {slope:.3f}, residual {residual:.3f}",
-    )
+    degree, note = _tail_degree(dims)
+    if degree is None:
+        return GkEstimate("undecided", None, window, note)
+    return GkEstimate("difference-degree", QQ(degree), window, note)
 
 
 @dataclass(frozen=True)
@@ -203,10 +189,6 @@ class EquivalenceReport:
     verdict: str
     note: str = ""
 
-    @property
-    def equivalent_on_window(self) -> bool:
-        return self.verdict == "equivalent-on-window"
-
     def as_record(self) -> dict:
         return {
             "forward": self.forward.as_record(),
@@ -220,14 +202,13 @@ def equivalence_check(table_s: GrowthTable, table_t: GrowthTable, window: tuple)
     forward = dominance_check(table_s, table_t, window)
     backward = dominance_check(table_t, table_s, window)
 
-    def tail_degree(table):
+    degrees = []
+    for table in (table_s, table_t):
         try:
-            result = difference_degree(table.dims, _default_tail(len(table.dims)))
+            degrees.append(_tail_degree(table.dims)[0])
         except InsufficientDataError:
-            return None
-        return result[0] if result is not None else None
-
-    deg_s, deg_t = tail_degree(table_s), tail_degree(table_t)
+            degrees.append(None)
+    deg_s, deg_t = degrees
     if deg_s is not None and deg_t is not None and deg_s != deg_t:
         loser = table_t.label if deg_t > deg_s else table_s.label
         winner = table_s.label if deg_t > deg_s else table_t.label

@@ -32,7 +32,13 @@ from itertools import product as iter_product
 from typing import Optional, Sequence
 
 from ._ratio import QQ
-from .algebras import AlgebraPresentation, FiltrationStore, GrowthTable, growth_sequence
+from .algebras import (
+    DEFAULT_BASIS_CAP,
+    AlgebraPresentation,
+    FiltrationStore,
+    GrowthTable,
+    growth_sequence,
+)
 from .charpoly import is_constant_element, nonconstant_coefficients
 from .errors import CapExceededError, InputError
 from .fdalg import (
@@ -59,6 +65,9 @@ WORD_ENUMERATION_CAP = 200_000
 # read off level CENTER_LEVEL, the module witness is level MODULE_LEVEL.
 CENTER_LEVEL = 4
 MODULE_LEVEL = 4
+# Filtration level of the certificates' memberships and of the module
+# generation check.
+MEMBERSHIP_LEVEL = 6
 # Level cap of the scalar-field span closure behind the radical split.
 CLOSURE_LEVEL_CAP = 30
 
@@ -68,9 +77,8 @@ class PipelineConfig:
     max_level: int = 12
     window: tuple = (4, 12)
     word_length: Optional[int] = None      # per-block default: block size squared
-    membership_level: int = 6
     certificate_window: tuple = (1, 6)
-    basis_cap: int = 20000
+    basis_cap: int = DEFAULT_BASIS_CAP
 
 
 @dataclass(frozen=True)
@@ -246,7 +254,7 @@ def build_radical_split(source: AlgebraPresentation, config: PipelineConfig,
         source,
         list(radical_parts),
         decomposition.nilpotence_degree,
-        level=config.membership_level,
+        level=MEMBERSHIP_LEVEL,
         window=config.certificate_window,
         basis_cap=config.basis_cap,
         store=store,
@@ -256,7 +264,7 @@ def build_radical_split(source: AlgebraPresentation, config: PipelineConfig,
         list(semisimple_parts),
         list(idempotents),
         nilpotency_bound=decomposition.nilpotence_degree,
-        level=config.membership_level,
+        level=MEMBERSHIP_LEVEL,
         window=config.certificate_window,
         basis_cap=config.basis_cap,
         labels=(source.label + "::pre-split", source.label + "::split"),
@@ -411,9 +419,9 @@ def build_center_stage(
     )
 
     stage3_table = growth_sequence(
-        presentation, config.membership_level, basis_cap=config.basis_cap, store=store
+        presentation, MEMBERSHIP_LEVEL, basis_cap=config.basis_cap, store=store
     )
-    level_reps = stage3_table.level(config.membership_level).representatives
+    level_reps = stage3_table.level(MEMBERSHIP_LEVEL).representatives
     module_span = [w * b for w in module_witness for b in level_reps]
     module_span += [b * w for w in module_witness for b in level_reps]
     tests = [s * w for s in pres.generators for w in module_witness]
@@ -429,7 +437,7 @@ def build_center_stage(
     if generated:
         checked.append(
             f"stage-2 generators times the witness lie in witness * level-"
-            f"{config.membership_level} span (both sides)"
+            f"{MEMBERSHIP_LEVEL} span (both sides)"
         )
     else:
         unchecked.append("module generation not established at this level")
@@ -560,13 +568,11 @@ def build_commutative_witness(
                                     store=store)
             tables[support] = (pres, table)
             estimates[support] = gk_estimate(table, config.window)
-    best_word = None
-    best_value = None
-    for word in words:
+    def rank(word):  # an undecided estimate ranks below every degree
         value = estimates[word.idempotent_support].value
-        if best_value is None or value > best_value:
-            best_value = value
-            best_word = word
+        return (0,) if value is None else (1, value)
+
+    best_word = max(words, key=rank, default=None)  # the first word wins a tie
     if best_word is None:
         pres = witness_for(())
         table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap,

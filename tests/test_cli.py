@@ -84,6 +84,18 @@ generator:
 1/x
 """
 
+LATE_RELATIONS = """\
+label: late-relations
+ring: poly x y
+size: 1
+generator:
+y
+generator:
+x^2
+generator:
+x^3*y^3
+"""
+
 X_LINE = """\
 label: x-line
 ring: ratfunc x
@@ -186,6 +198,22 @@ def test_gkdim(write, capsys):
     code, out, _ = run_cli(capsys, "gkdim", path)
     assert code == 0
     assert out.splitlines()[1].startswith("difference-degree,2,")
+
+
+def test_gkdim_reports_an_undecided_tail_without_a_value(write, capsys):
+    # The dims are C(n+3, 3) up to level 8, then quadratic; on 13 levels
+    # no difference is constant on the tail.
+    path = write("late.alg", LATE_RELATIONS)
+    code, out, err = run_cli(capsys, "gkdim", path)
+    assert (code, out, err) == (0, "method,value,window_lo,window_hi\nundecided,,6,12\n", "")
+    code, out, err = run_cli(capsys, "gkdim", path, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "schema": "gk-estimate", "label": "late-relations", "method": "undecided", "value": None,
+        "window": [6, 12],
+        "note": "no difference of order 0 to 6 is a positive constant on the last 6 levels",
+    }
+    assert '"value": null' in out
 
 
 def test_gkdim_insufficient_data(write, capsys):

@@ -1,4 +1,8 @@
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkgrowth._ratio import QQ
 from gkgrowth.algebras import AlgebraPresentation, growth_sequence
@@ -36,6 +40,16 @@ def laurent_pres(label="laurent"):
     return ratfunc_poly_pres(label).adjoin([Matrix(F, [[F.one / F.gen()]])], label)
 
 
+def late_relations_pres():
+    """<y, x^2, x^3 y^3> in QQ[x, y]: dims C(n+3, 3) up to level 8, then quadratic,
+    so the difference test on 13 levels finds no constant difference."""
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    return AlgebraPresentation(
+        ring, 1, [Matrix(ring, [[g]]) for g in (y, x * x, x ** 3 * y ** 3)], "late-relations"
+    )
+
+
 def test_difference_degree_examples():
     assert difference_degree([1, 2, 3, 4, 5, 6, 7, 8, 9], 3) == (1, 1)
     assert difference_degree([1, 3, 6, 10, 15, 21, 28, 36, 45], 3) == (2, 1)
@@ -70,10 +84,44 @@ def test_gk_estimate_short_table():
         gk_estimate(growth_sequence(poly_pres(1), 3))
 
 
-def test_gk_estimate_log_log_fallback():
-    estimate = gk_estimate([2 ** n for n in range(13)], (6, 12))
-    assert estimate.method == "log-log-slope"
-    assert "residual" in estimate.note
+def test_gk_estimate_is_undecided_without_a_polynomial_tail():
+    # 2^n has no polynomial tail; floor(n^2/3) + 1 has degree 2, but no
+    # difference of it is constant.
+    for dims in ([2 ** n for n in range(13)], [n * n // 3 + 1 for n in range(13)]):
+        estimate = gk_estimate(dims, (6, 12))
+        assert (estimate.method, estimate.value) == ("undecided", None)
+        assert estimate.note == ("no difference of order 0 to 6 is a positive constant "
+                                 "on the last 6 levels")
+        assert estimate.as_record()["value"] is None
+
+
+@st.composite
+def polynomial_values(draw):
+    """(prefix, values, degree): an integer-valued polynomial of degree 0-4
+    with a positive leading coefficient, sum c_k * C(n, k), evaluated past
+    an arbitrary integer prefix long enough that the tail reads only it."""
+    degree = draw(st.integers(0, 4))
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=degree, max_size=degree))
+    coeffs.append(draw(st.integers(1, 5)))
+    prefix = draw(st.lists(st.integers(-50, 50), max_size=6))
+    start = len(prefix)
+    stop = 2 * start + draw(st.integers(12, 18))
+    values = [sum(c * comb(n, k) for k, c in enumerate(coeffs)) for n in range(start, stop)]
+    return prefix, values, degree
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(polynomial_values(), st.integers(2, 3))
+def test_gk_estimate_is_exact_or_undecided(case, base):
+    prefix, values, degree = case
+    estimate = gk_estimate(prefix + values)
+    assert (estimate.method, estimate.value) == ("difference-degree", QQ(degree))
+    # Every k-th difference of values[n] + base^n is a polynomial of degree
+    # at most 4 plus (base - 1)^k base^n, which is constant on no 6 levels.
+    undecided = gk_estimate([v + base ** n for n, v in enumerate(values)])
+    assert (undecided.method, undecided.value) == ("undecided", None)
+    for value in (estimate.value, undecided.value):
+        assert value is None or value.denominator == 1
 
 
 def test_dominance_reflexive():
@@ -118,6 +166,11 @@ def test_equivalence_verdicts():
     assert report.verdict.startswith("not-dominated-on-window:")
     assert "poly2" in report.verdict.split(":")[1]
     assert "diverge" in report.note
+    # An undecided side gives no degree to compare.
+    late = growth_sequence(late_relations_pres(), 12)
+    assert gk_estimate(late).method == "undecided"
+    assert equivalence_check(late, two_vars, (1, 12)).verdict == "equivalent-on-window"
+    assert equivalence_check(plain, late, (1, 12)).verdict == "equivalent-on-window"
 
 
 def test_bimodule_certificate_identity_case():

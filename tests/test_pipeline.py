@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from gkgrowth import algebras
@@ -150,6 +152,28 @@ def test_pipeline_ut_x():
     split = next(s for s in report.stages if s.stage_id == "radical-split")
     assert len(split.provenance["idempotents"]) == 2
     assert all(cert.verified for cert in split.certificates)
+
+
+@pytest.mark.parametrize("undecided, chosen", [
+    (("witness[0]", "witness[1]", "witness[0,1]"), "n0"),  # witness[-] has degree 0
+    (("witness[0]", "witness[1]", "witness[0,1]", "witness[-]"), "e0"),
+])
+def test_an_undecided_witness_ranks_below_every_degree(monkeypatch, undecided, chosen):
+    import gkgrowth.pipeline as pipeline
+
+    real = pipeline.gk_estimate
+
+    def estimate(table, window=None):
+        result = real(table, window)
+        if table.label in undecided:
+            return replace(result, method="undecided", value=None)
+        return result
+
+    monkeypatch.setattr(pipeline, "gk_estimate", estimate)
+    report = run_pipeline(ut_x_pres(), FAST)
+    assert [w.name for w in report.words][:3] == ["e0", "e1", "n0"]
+    assert report.chosen_word.name == chosen
+    assert not report.integer_verdict  # the source has degree 1, the witness 0 or none
 
 
 def test_pipeline_scalar_x():

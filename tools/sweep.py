@@ -1,0 +1,156 @@
+"""Parent-equality sweep of the ``gkgrowth`` command line.
+
+Runs a fixed list of CLI invocations against the checkout this file sits
+in.  Each invocation runs three times, in process: without a cache, as a
+cache miss and as a cache hit.  For each invocation the sweep writes one
+line, the SHA-256 of every run's exit code, stdout, stderr and ``--out``
+bytes followed by the invocation's name, and it sorts the lines.  The
+checkout's path and the scratch directory's path are replaced by fixed
+placeholders, so the file depends only on what the program prints.
+
+A refactor that keeps every output byte gives an empty diff::
+
+    python tools/sweep.py --out before.txt     # in the parent's checkout
+    python tools/sweep.py --out after.txt      # in the change's checkout
+    diff before.txt after.txt
+
+A deliberate output change names the cases it moves.  No hashes are
+committed: the sweep compares two trees, so it cannot go stale.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = ("laurent-pair", "mat2", "scalar-x", "two-variables", "upper-triangular-x")
+RUNS = ("uncached", "miss", "hit")
+
+
+def _doc(name: str) -> str:
+    return str(ROOT / "demos" / "presentations" / f"{name}.alg")
+
+
+def cases() -> list:
+    """(name, argv) of every invocation; ``{out}`` in argv names the ``--out`` file."""
+    out = []
+
+    def add(*argv):
+        argv = list(argv)
+        name = " ".join(Path(a).stem if a.endswith(".alg") else a for a in argv) or "(no arguments)"
+        out.append((name, argv))
+
+    for doc in DOCS:
+        path = _doc(doc)
+        for fmt in ("csv", "json"):
+            add("growth", path, "--format", fmt)
+            add("gkdim", path, "--format", fmt)
+        add("growth", path, "--max-n", "0")
+        add("growth", path, "--cap", "5")
+        add("growth", path, "--out", "{out}")
+        add("gkdim", path, "--max-n", "3")
+        for window in ("1:4", "2:8", "0:12", "6:12", "12:12", "4:13", "5:2", "x"):
+            add("gkdim", path, "--window", window)
+        add("gkdim", path, "--max-n", "8", "--window", "4:8", "--format", "json")
+        add("gkdim", path, "--max-n", "9", "--window", "1:9", "--out", "{out}")
+        add("compare", path, _doc("two-variables"))
+        add("compare", path, _doc("laurent-pair"), "--max-n", "6", "--window", "2:6")
+        add("compare", path, path, "--max-n", "0")
+        add("charclosure", path)
+        add("charclosure", path, "--word-len", "1", "--max-n", "8")
+        add("charclosure", path, "--format", "csv")
+        add("cayley", path)
+        add("cayley", path, "--max-n", "-1")
+        add("pipeline", path, "--max-n", "8")
+        add("pipeline", path, "--max-n", "8", "--window", "4:8", "--word-len", "2")
+        add("pipeline", path, "--out", "{out}")
+    for m in ("-1", "0", "1", "2", "3"):
+        add("exbig", m)
+    add("exbig", "3", "--max-n", "8", "--window", "4:8")
+    add("exbig", "2", "--format", "csv")
+    add("exbig", "2", "--word-len", "0")
+    missing = str(ROOT / "demos" / "presentations" / "missing.alg")
+    add("growth", missing)
+    add("compare", _doc("mat2"), missing)
+    add("growth", _doc("mat2"), "--cap", "-1")
+    add("gkdim", _doc("mat2"), "--format", "xml")
+    add("unknown-subcommand")
+    add("--help")
+    add("pipeline", "--help")
+    add()
+    return out
+
+
+def run_case(main, argv: list, scratch: Path) -> list:
+    """The three runs of one invocation: (exit code, stdout, stderr, --out text) each."""
+    out_path = scratch / "out.txt"
+    cache_dir = scratch / "cache"
+    argv = [str(out_path) if a == "{out}" else a for a in argv]
+    runs = []
+    for run in RUNS:
+        extra = [] if run == "uncached" else ["--cache-dir", str(cache_dir)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv + extra)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+            except Exception as exc:  # a bug: record its type and message, not the traceback
+                code = f"raised {type(exc).__name__}: {exc}"
+        written = out_path.read_text(encoding="utf-8") if out_path.exists() else None
+        if out_path.exists():
+            out_path.unlink()
+        texts = [stdout.getvalue(), stderr.getvalue(), written]
+        runs.append((str(code), *[None if t is None else _placeholders(t, scratch) for t in texts]))
+    return runs
+
+
+def _placeholders(text: str, scratch: Path) -> str:
+    return text.replace(str(scratch), "<scratch>").replace(str(ROOT), "<root>")
+
+
+def digest(runs: list) -> str:
+    h = hashlib.sha256()
+    for run in runs:
+        for field in run:
+            data = b"\xff" if field is None else field.encode("utf-8")
+            h.update(len(data).to_bytes(8, "big") + data)
+    return h.hexdigest()
+
+
+def sweep(selected: list) -> list:
+    """Sorted ``digest  name`` lines of the selected (name, argv) cases."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    from gkgrowth.cli import main
+
+    lines = []
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):  # argparse wraps usage to this width
+        for name, argv in selected:
+            with tempfile.TemporaryDirectory() as tmp:
+                lines.append(f"{digest(run_case(main, argv, Path(tmp)))}  {name}")
+    return sorted(lines)
+
+
+def _main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", help="write the sorted digest lines here (default: stdout)")
+    args = parser.parse_args()
+    text = "\n".join(sweep(cases())) + "\n"
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_main())
