@@ -10,6 +10,10 @@ central subalgebra over which the closure is module-finite; the cutoff
 is a heuristic (reports always state it), since no finite bound is
 canonical.
 
+One walk, ``generator_words``, forms the generator words of the closure,
+its module check and the pipeline's block scalars, each distinct product
+once; its word cap counts distinct products.
+
 Every QQ-span here takes ``spans.cleared_vecs`` over all three rings:
 scalars go through it as 1x1 matrices, and no span has a QQ(x) branch.
 """
@@ -17,7 +21,7 @@ scalars go through it as 1x1 matrices, and no span has a QQ(x) branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from typing import Optional, Sequence
 
 from .algebras import AlgebraPresentation
@@ -50,20 +54,31 @@ class TraceClosure:
     closure: AlgebraPresentation
 
 
-def _generator_words(pres: AlgebraPresentation, max_length: int, word_cap: int):
-    """All products of 1..max_length generators, in length-lex order."""
-    current = list(pres.generators)
-    total = 0
+def generator_words(generators: Sequence[Matrix], max_length: int,
+                    word_cap: int = DEFAULT_WORD_CAP):
+    """The distinct products of 1..max_length generators, one list per length.
+
+    Length L lists the products of L generators that equal no earlier
+    product, in the order the length-lex walk first meets them.  A repeated
+    product forms only products that appeared earlier, so each length is
+    built from the previous length's list alone.  The cap counts distinct
+    products and fires at the first one past it.
+    """
+    seen = set()
+    products = iter(generators)
     for length in range(1, max_length + 1):
-        for w in current:
-            total += 1
-            if total > word_cap:
+        words = []
+        for word in products:
+            if word in seen:
+                continue
+            seen.add(word)
+            if len(seen) > word_cap:
                 raise CapExceededError(
                     f"generator word count exceeds cap {word_cap} at length {length}"
                 )
-            yield w
-        if length < max_length:
-            current = [w * g for w in current for g in pres.generators]
+            words.append(word)
+        yield words
+        products = (w * g for w in words for g in generators)
 
 
 def trace_algebra_generators(
@@ -75,16 +90,17 @@ def trace_algebra_generators(
     """Harvest central generators from char polys of generator words.
 
     Collects the nonconstant coefficients of the characteristic
-    polynomial of every word of length <= word_length, deduplicated by
-    their QQ-span (discarding a coefficient that is a rational
-    combination of earlier ones never shrinks the generated algebra).
-    The returned closure presentation adjoins the survivors as scalar
-    matrices.
+    polynomial of every distinct word of length <= word_length (at most
+    ``word_cap`` of them), deduplicated by their QQ-span (discarding a
+    coefficient that is a rational combination of earlier ones never
+    shrinks the generated algebra).  The returned closure presentation
+    adjoins the survivors as scalar matrices.
     """
     if word_length < 1:
         raise ValueError("word length must be at least 1")
     ring = pres.ring
-    harvested = nonconstant_coefficients(_generator_words(pres, word_length, word_cap))
+    words = generator_words(pres.generators, word_length, word_cap)
+    harvested = nonconstant_coefficients(chain.from_iterable(words))
     kept = _independent_scalars(ring, harvested)
     ident = Matrix.identity(ring, pres.size)
     closure = pres.adjoin([ident.scale(c) for c in kept], pres.label + "+trace")
@@ -119,8 +135,9 @@ def module_finiteness_check(
     """Check that new generator words stop enlarging the central-span module.
 
     Builds the QQ-span of {central monomial * module generator} and walks
-    generator words in length-lex order; a word not in the span becomes a
-    new module generator.  One full length with no new generators means
+    the distinct generator words (at most ``word_cap``), each length in
+    ``Matrix.sort_key`` order; a word not in the span becomes a new
+    module generator.  One full length with no new generators means
     every longer word is also captured (modulo the central degree cap),
     so the filtration has stabilized at the reported rank.
     """
@@ -144,14 +161,9 @@ def module_finiteness_check(
     span_vecs: list = []  # their coordinates in the last length's clearing
     span = EchelonBasis()
     module_rank = 1
-    words = [ident]
-    total_words = 0
-    for length in range(1, length_cap + 1):
-        words = [w * g for w in words for g in pres.generators]
-        total_words += len(words)
-        if total_words > word_cap:
-            raise CapExceededError(f"module check exceeded the word cap {word_cap}")
-        candidates = [w for w in sorted(set(words), key=Matrix.sort_key) if not w.is_zero]
+    walk = generator_words(pres.generators, length_cap, word_cap)
+    for length, words in enumerate(walk, 1):
+        candidates = sorted((w for w in words if not w.is_zero), key=Matrix.sort_key)
         multiples = [w.scale(c) for w in candidates for c in central_reps]
         known = len(span_mats)
         vecs = cleared_vecs(span_mats + multiples)

@@ -28,6 +28,7 @@ deeper levels are asked for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from itertools import product as iter_product
 from typing import Optional, Sequence
 
@@ -40,6 +41,7 @@ from .algebras import (
     growth_sequence,
 )
 from .charpoly import is_constant_element, nonconstant_coefficients
+from .closure import generator_words
 from .errors import CapExceededError, InputError
 from .fdalg import (
     WedderburnData,
@@ -68,8 +70,6 @@ MODULE_LEVEL = 4
 # Filtration level of the certificates' memberships and of the module
 # generation check.
 MEMBERSHIP_LEVEL = 6
-# Level cap of the scalar-field span closure behind the radical split.
-CLOSURE_LEVEL_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -233,9 +233,7 @@ class _PipelineContext:
 
 def build_radical_split(source: AlgebraPresentation, config: PipelineConfig,
                         store: FiltrationStore):
-    algebra = close_to_fdalg(
-        source, level_cap=CLOSURE_LEVEL_CAP, basis_cap=config.basis_cap, store=store
-    )
+    algebra = close_to_fdalg(source, basis_cap=config.basis_cap, store=store)
     decomposition = wedderburn_complement(algebra)
     bars, rads = [], []
     for g in source.generators:
@@ -320,17 +318,6 @@ def _block_matrix(context: _PipelineContext, block_index: int, mat: Matrix) -> M
     return Matrix(ring, rows)
 
 
-def _block_words(ring, size: int, gens: Sequence[Matrix], cutoff: int):
-    """The distinct products of 1..cutoff block generators, length by
-    length, each length in ``Matrix.sort_key`` order.  Each length is built
-    from the previous length's distinct words, so the work grows with the
-    number of distinct words, not as len(gens)^length."""
-    words = [Matrix.identity(ring, size)]
-    for _length in range(cutoff):
-        words = sorted({w * g for w in words for g in gens}, key=Matrix.sort_key)
-        yield from words
-
-
 def build_central_scalars(
     source_stage: PipelineStage, context: _PipelineContext, config: PipelineConfig
 ):
@@ -347,7 +334,8 @@ def build_central_scalars(
             _block_matrix(context, block_index, g) for g in context.semisimple_parts
         ]
         block_gens = [g for g in block_gens if not g.is_zero]
-        harvested = nonconstant_coefficients(_block_words(scalar_ring, size, block_gens, cutoff))
+        words = generator_words(block_gens, cutoff, WORD_ENUMERATION_CAP)
+        harvested = nonconstant_coefficients(chain.from_iterable(words))
         idem = context.idempotents[block_index]
         for value in harvested:
             adjoined.append(idem.scale(ring.coerce(value)))
@@ -558,28 +546,26 @@ def build_commutative_witness(
         name = ",".join(str(i) for i in support) if support else "-"
         return AlgebraPresentation(scalar_ring, 1, gens, f"witness[{name}]")
 
-    tables = {}
-    estimates = {}
+    def estimated(pres: AlgebraPresentation) -> GkEstimate:
+        table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap, store=store)
+        return gk_estimate(table, config.window)
+
+    witnesses = {}  # support -> (presentation, estimate)
     for word in words:
         support = word.idempotent_support
-        if support not in tables:
+        if support not in witnesses:
             pres = witness_for(support)
-            table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap,
-                                    store=store)
-            tables[support] = (pres, table)
-            estimates[support] = gk_estimate(table, config.window)
+            witnesses[support] = (pres, estimated(pres))
+
     def rank(word):  # an undecided estimate ranks below every degree
-        value = estimates[word.idempotent_support].value
+        value = witnesses[word.idempotent_support][1].value
         return (0,) if value is None else (1, value)
 
     best_word = max(words, key=rank, default=None)  # the first word wins a tie
     if best_word is None:
         pres = witness_for(())
-        table = growth_sequence(pres, config.max_level, basis_cap=config.basis_cap,
-                                store=store)
-        return None, pres, table, gk_estimate(table, config.window)
-    pres, table = tables[best_word.idempotent_support]
-    return best_word, pres, table, estimates[best_word.idempotent_support]
+        return None, pres, estimated(pres)
+    return (best_word, *witnesses[best_word.idempotent_support])
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +595,7 @@ def run_pipeline(source: AlgebraPresentation, config: PipelineConfig = PipelineC
     words = enumerate_reduced_words(
         context.radical_parts, context.idempotents, context.decomposition.nilpotence_degree
     )
-    chosen, witness_pres, witness_table, witness_estimate = build_commutative_witness(
+    chosen, witness_pres, witness_estimate = build_commutative_witness(
         center_stage, context, config, words, store
     )
 

@@ -96,6 +96,25 @@ generator:
 x^3*y^3
 """
 
+# diag(x, 0, 0), E01 and E12: 9,840 words of length at most 8, 25 distinct.
+UT3_X = """\
+label: ut3-x
+ring: poly x
+size: 3
+generator:
+x, 0, 0
+0, 0, 0
+0, 0, 0
+generator:
+0, 1, 0
+0, 0, 0
+0, 0, 0
+generator:
+0, 0, 0
+0, 0, 1
+0, 0, 0
+"""
+
 X_LINE = """\
 label: x-line
 ring: ratfunc x
@@ -330,6 +349,19 @@ def test_charclosure(write, capsys):
     assert record["base"]["value"] == "1"
     assert record["closure"]["value"] == "1"
     assert record["module_finiteness"]["stabilized"] is True
+
+
+def test_charclosure_word_cap_counts_distinct_words(write, capsys):
+    path = write("ut3.alg", UT3_X)
+    code, out, err = run_cli(capsys, "charclosure", path)
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["word_length"] == 9
+    assert record["central_generators"] == ["-x"] + [f"-x^{k}" for k in range(2, 10)]
+    assert record["module_finiteness"] == {
+        "stabilized": True, "rank": 5,
+        "note": "no new module generators at word length 3; central span truncated at degree 4",
+    }
 
 
 def test_pipeline_report(write, capsys):

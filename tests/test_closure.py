@@ -1,5 +1,6 @@
 import itertools
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,12 @@ from gkgrowth import charpoly
 from gkgrowth._ratio import QQ
 from gkgrowth.algebras import AlgebraPresentation, growth_sequence
 from gkgrowth.cli import load_presentation
+from gkgrowth import closure as closure_module
 from gkgrowth.closure import (
+    DEFAULT_WORD_CAP,
     build_diagonal_embedding_example,
     elementary_symmetric,
+    generator_words,
     module_finiteness_check,
     trace_algebra_generators,
 )
@@ -108,11 +112,72 @@ def test_trace_harvest_computes_one_char_poly_per_distinct_word(
     assert span_of(closure.central_generators).dimension == span_of(harvest).dimension
 
 
-def test_trace_word_cap_counts_repeated_words():
-    # 3 + 9 + 27 words fit under the cap; the 81 words of length 4 do not,
-    # although only a few of them are distinct.
-    with pytest.raises(CapExceededError, match="cap 100 at length 4"):
-        trace_algebra_generators(_diag_x_with_matrix_units(), 8, word_cap=100)
+def length_lex_words(generators, max_length, word_cap=DEFAULT_WORD_CAP):
+    """Reference walk: every product of 1..max_length generators, duplicates
+    included, one list per length in length-lex order, with a cap on the
+    count of all words.  The closure walked this way before it formed each
+    distinct product once; ``generator_words`` must keep its first-meeting
+    order."""
+    words, total = list(generators), 0
+    for length in range(1, max_length + 1):
+        if length > 1:
+            words = [w * g for w in words for g in generators]
+        total += len(words)
+        if total > word_cap:
+            raise CapExceededError(f"generator word count exceeds cap {word_cap} at length {length}")
+        yield words
+
+
+# Distinct products of at most 1, 2, ..., 8 generators of _diag_x_with_matrix_units().
+DIAG_X_UNITS_DISTINCT = (3, 9, 13, 17, 21, 25, 29, 33)
+
+
+def test_diag_x_units_distinct_counts():
+    pres = _diag_x_with_matrix_units()
+    seen, counts = set(), []
+    for words in length_lex_words(pres.generators, 8, word_cap=10_000):
+        seen.update(words)
+        counts.append(len(seen))
+    assert tuple(counts) == DIAG_X_UNITS_DISTINCT
+    walk = generator_words(pres.generators, 8)
+    assert tuple(itertools.accumulate(len(words) for words in walk)) == DIAG_X_UNITS_DISTINCT
+
+
+def test_trace_word_cap_counts_distinct_words():
+    # 3 + 9 + ... + 3^8 = 9,840 words, of which 33 are distinct.
+    pres = _diag_x_with_matrix_units()
+    assert trace_algebra_generators(pres, 8, word_cap=100) == trace_algebra_generators(pres, 8)
+
+
+def _first_length_past(cap):
+    return next(n for n, count in enumerate(DIAG_X_UNITS_DISTINCT, 1) if count > cap)
+
+
+@pytest.mark.parametrize("cap", [0, 2, 3, 8, 9, 20, 32])
+def test_trace_word_cap_fires_at_the_first_length_past_it(cap):
+    pattern = f"^generator word count exceeds cap {cap} at length {_first_length_past(cap)}$"
+    with pytest.raises(CapExceededError, match=pattern):
+        trace_algebra_generators(_diag_x_with_matrix_units(), 8, word_cap=cap)
+
+
+def _module_check_to_length_8(**caps):
+    # One central generator, -x, and degree cap 1: x^3 E11 is never in the
+    # span, so the check walks all 8 lengths.
+    closure = trace_algebra_generators(_diag_x_with_matrix_units(), 1)
+    return module_finiteness_check(closure, length_cap=8, central_degree_cap=1, **caps)
+
+
+def test_module_word_cap_counts_distinct_words():
+    report = _module_check_to_length_8()
+    assert (report.stabilized, report.word_length_reached) == (False, 8)
+    assert _module_check_to_length_8(word_cap=100) == report
+
+
+@pytest.mark.parametrize("cap", [0, 2, 3, 8, 9, 20, 32])
+def test_module_word_cap_fires_at_the_first_length_past_it(cap):
+    pattern = f"^generator word count exceeds cap {cap} at length {_first_length_past(cap)}$"
+    with pytest.raises(CapExceededError, match=pattern):
+        _module_check_to_length_8(word_cap=cap)
 
 
 def test_module_finiteness_diagonal_examples():
@@ -280,3 +345,52 @@ def test_polynomial_and_rational_function_closures_agree(pres, word_length):
             assert module_finiteness_check(
                 closure, length_cap=3, central_degree_cap=degree_cap
             ) == want
+
+
+SMALL_QQ = st.sampled_from([QQ(0), QQ(0), QQ(1), QQ(-1), QQ(2), QQ(1, 2)])
+RXY = PolyRing(("x", "y"))
+SMALL_XY_POLYS = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(-2, 2)), max_size=2
+).map(lambda terms: sum((RXY.gen(0) ** a * RXY.gen(1) ** b * c for a, b, c in terms), RXY.zero))
+
+
+@st.composite
+def small_presentations(draw):
+    """2x2 presentations over QQ, QQ[x,y] or QQ(x); the QQ(x) ones are
+    QQ[x] entries, as they are or moved by ``_moebius``."""
+    kind = draw(st.sampled_from(["qq", "qxy", "qx", "moebius"]))
+    ring, entries = {
+        "qq": (Q, SMALL_QQ),
+        "qxy": (RXY, SMALL_XY_POLYS),
+        "qx": (FX, SMALL_POLYS.map(FX.coerce)),
+        "moebius": (FX, SMALL_POLYS.map(_moebius)),
+    }[kind]
+    gens = [Matrix(ring, [[draw(entries) for _ in range(2)] for _ in range(2)])
+            for _ in range(draw(st.integers(1, 3)))]
+    return AlgebraPresentation(ring, 2, gens, kind)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_presentations(), st.integers(1, 4))
+def test_distinct_word_walk_agrees_with_the_length_lex_walk(pres, word_length):
+    gens = pres.generators
+    walk = list(generator_words(gens, word_length))
+    reference = list(length_lex_words(gens, word_length))
+    yielded = list(itertools.chain.from_iterable(walk))
+    assert len(yielded) == len(set(yielded))  # no product twice
+    # Every product of at most word_length generators, in first-meeting order.
+    assert yielded == list(dict.fromkeys(itertools.chain.from_iterable(reference)))
+    assert all(set(words) <= set(products) for words, products in zip(walk, reference))
+    with pytest.raises(CapExceededError):
+        list(generator_words(gens, word_length, word_cap=len(yielded) - 1))
+
+    closure = trace_algebra_generators(pres, word_length)
+    report = module_finiteness_check(closure, length_cap=3, central_degree_cap=1)
+    with mock.patch.object(closure_module, "generator_words", length_lex_words):
+        old_closure = trace_algebra_generators(pres, word_length)
+        old_report = module_finiteness_check(old_closure, length_cap=3, central_degree_cap=1)
+    assert closure.central_generators == old_closure.central_generators
+    assert [type(c) for c in closure.central_generators] == [
+        type(c) for c in old_closure.central_generators
+    ]
+    assert report == old_report

@@ -56,3 +56,40 @@ def test_a_subset_sweeps_to_the_same_sorted_lines_twice(tmp_path, deadline):
     code, stdout, stderr, written = sweep.run_case(main, missing, tmp_path)[0]
     assert (code, stdout, written) == ("2", "", None)
     assert stderr.startswith("input error: cannot read <root>/demos/presentations/missing.alg")
+
+
+CLOSURE_SUBSET = (
+    "closure qq 2x2 seed 0 word-len 4",
+    "closure qxy 2x2 seed 0 word-len 3",
+    "closure qx 2x2 seed 0 word-len 1",
+    "closure qxy 3x3 seed 0 word-len 9 cap 40",
+)
+
+
+def test_closure_cases_cover_every_ring_size_and_word_length():
+    sweep = load_sweep()
+    cases = sweep.closure_cases()
+    names = [name for name, _ in cases]
+    assert len(names) == len(set(names))
+    assert set(CLOSURE_SUBSET) <= set(names)
+    uncapped = {spec[:4] for _, spec in cases if spec[4] is None}
+    for kind in ("qq", "qxy", "qx"):
+        for size in (2, 3):
+            lengths = {length for k, s, _, length in uncapped if (k, s) == (kind, size)}
+            assert lengths == set(range(1, size * size + 1))
+
+
+def test_a_closure_subset_sweeps_to_the_same_sorted_lines_twice(deadline):
+    deadline(5)
+    sweep = load_sweep()
+    selected = [case for case in sweep.closure_cases() if case[0] in CLOSURE_SUBSET]
+    lines = sweep.closure_sweep(selected)
+    assert lines == sorted(lines) == sweep.closure_sweep(selected)
+    assert sorted(line.split("  ", 1)[1] for line in lines) == sorted(CLOSURE_SUBSET)
+    texts = {name: sweep.closure_text(spec) for name, spec in selected}
+    assert texts["closure qxy 3x3 seed 0 word-len 9 cap 40"].startswith(
+        "raised CapExceededError: "
+    )
+    report = texts["closure qxy 2x2 seed 0 word-len 3"].splitlines()
+    assert report[-1].startswith("ModuleFinitenessReport(")
+    assert report[0].startswith("Poly ")

@@ -8,6 +8,14 @@ bytes followed by the invocation's name, and it sorts the lines.  The
 checkout's path and the scratch directory's path are replaced by fixed
 placeholders, so the file depends only on what the program prints.
 
+A second list, ``closure_cases()``, runs the characteristic closure in
+process on seeded 2x2 and 3x3 presentations over QQ, QQ[x,y] and QQ(x):
+``trace_algebra_generators`` at each word length from 1 to size^2, then
+``module_finiteness_check``, with the default word caps and with caps
+that fire.  Its cases write the central generators with their types and
+the module report, or the exception type and message, hashed the same
+way.  It uses only the package's public names, so it runs on older trees.
+
 A refactor that keeps every output byte gives an empty diff::
 
     python tools/sweep.py --out before.txt     # in the parent's checkout
@@ -25,6 +33,7 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -89,6 +98,67 @@ def cases() -> list:
     return out
 
 
+# Closure cases: (ring kind, matrix size, seed) of each seeded presentation.
+CLOSURE_PRESENTATIONS = tuple(
+    (kind, size, seed) for kind in ("qq", "qxy", "qx") for size in (2, 3) for seed in (0, 1)
+)
+# Word caps of the capped cases, for both calls.  Each presentation's last
+# word length runs with every cap; the smaller caps fire.
+CLOSURE_CAPS = (2, 8, 40, 400)
+
+
+def closure_cases() -> list:
+    """(name, spec) of every closure case; spec is (kind, size, seed, word length, cap)."""
+    out = []
+    for kind, size, seed in CLOSURE_PRESENTATIONS:
+        last = size * size
+        for word_length in range(1, last + 1):
+            out.append((kind, size, seed, word_length, None))
+        out.extend((kind, size, seed, last, cap) for cap in CLOSURE_CAPS)
+    return [(f"closure {kind} {size}x{size} seed {seed} word-len {length}"
+             + ("" if cap is None else f" cap {cap}"), (kind, size, seed, length, cap))
+            for kind, size, seed, length, cap in out]
+
+
+def _closure_presentation(gk, kind: str, size: int, seed: int):
+    """A seeded presentation with sparse entries, so that words repeat and vanish."""
+    if kind == "qq":
+        ring = gk.RationalField()
+        pool = [gk.QQ(1), gk.QQ(-1), gk.QQ(2), gk.QQ(1, 2)]
+    elif kind == "qxy":
+        ring = gk.PolyRing(("x", "y"))
+        x, y = ring.gens()
+        pool = [ring.one, x, y, x * y, x - ring.one, y * y]
+    else:
+        ring = gk.RatFuncField("x")
+        x, one = ring.gen(), ring.one
+        pool = [one, x, one / x, x / (x + one)]
+    rng = random.Random(1000 * size + seed)
+    count = 3 if size == 2 else 2
+    gens = [gk.Matrix(ring, [[rng.choice(pool) if rng.random() < 0.4 else ring.zero
+                              for _ in range(size)] for _ in range(size)])
+            for _ in range(count)]
+    return gk.AlgebraPresentation(ring, size, gens, f"{kind}-{size}-{seed}")
+
+
+def closure_text(spec: tuple) -> str:
+    """One closure case's output: the central generators with their types and
+    the module report, or the exception's type and message."""
+    import gkgrowth as gk
+
+    kind, size, seed, word_length, cap = spec
+    pres = _closure_presentation(gk, kind, size, seed)
+    caps = {} if cap is None else {"word_cap": cap}
+    try:
+        closure = gk.trace_algebra_generators(pres, word_length, **caps)
+        report = gk.module_finiteness_check(closure, length_cap=3, central_degree_cap=1, **caps)
+    except Exception as exc:
+        return f"raised {type(exc).__name__}: {exc}"
+    generators = [f"{type(c).__name__} {pres.ring.element_str(c)}"
+                  for c in closure.central_generators]
+    return "\n".join(generators + [repr(report)])
+
+
 def run_case(main, argv: list, scratch: Path) -> list:
     """The three runs of one invocation: (exit code, stdout, stderr, --out text) each."""
     out_path = scratch / "out.txt"
@@ -126,10 +196,20 @@ def digest(runs: list) -> str:
     return h.hexdigest()
 
 
-def sweep(selected: list) -> list:
-    """Sorted ``digest  name`` lines of the selected (name, argv) cases."""
+def _use_checkout():
     if str(ROOT / "src") not in sys.path:
         sys.path.insert(0, str(ROOT / "src"))
+
+
+def closure_sweep(selected: list) -> list:
+    """Sorted ``digest  name`` lines of the selected (name, spec) closure cases."""
+    _use_checkout()
+    return sorted(f"{digest([(closure_text(spec),)])}  {name}" for name, spec in selected)
+
+
+def sweep(selected: list) -> list:
+    """Sorted ``digest  name`` lines of the selected (name, argv) cases."""
+    _use_checkout()
     from gkgrowth.cli import main
 
     lines = []
@@ -144,7 +224,7 @@ def _main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write the sorted digest lines here (default: stdout)")
     args = parser.parse_args()
-    text = "\n".join(sweep(cases())) + "\n"
+    text = "\n".join(sorted(sweep(cases()) + closure_sweep(closure_cases()))) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
