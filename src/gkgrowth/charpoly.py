@@ -151,15 +151,12 @@ def is_constant_element(ring, value) -> bool:
 
 def nonconstant_coefficients(words: Iterable[Matrix]) -> list:
     """The nonconstant lower coefficients of the words' characteristic
-    polynomials, each once, in order of first appearance.  A repeated word
-    is skipped, but it is still drawn from ``words``."""
+    polynomials, each once, in order of first appearance.  Each word costs
+    one ``char_poly``; the callers pass distinct words
+    (``closure.generator_words``)."""
     harvested = []
     seen = set()
-    seen_words = set()
     for word in words:
-        if word in seen_words:
-            continue
-        seen_words.add(word)
         poly = char_poly(word)
         for coeff in poly.coeffs[:-1]:
             if coeff and not is_constant_element(poly.ring, coeff) and coeff not in seen:

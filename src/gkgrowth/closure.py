@@ -14,8 +14,9 @@ One walk, ``generator_words``, forms the generator words of the closure,
 its module check and the pipeline's block scalars, each distinct product
 once; its word cap counts distinct products.
 
-Every QQ-span here takes ``spans.cleared_vecs`` over all three rings:
-scalars go through it as 1x1 matrices, and no span has a QQ(x) branch.
+No span here has a QQ(x) branch: the harvested scalars take
+``spans.cleared_vecs`` as 1x1 matrices, and the module check takes the
+coordinates ``spans.word_coordinates`` fixes once per call.
 """
 
 from __future__ import annotations
@@ -29,19 +30,9 @@ from .charpoly import nonconstant_coefficients
 from .errors import CapExceededError
 from .matrices import Matrix
 from .poly import Poly, PolyRing
-from .spans import EchelonBasis, cleared_vecs, extend_span
+from .spans import DEPENDENT, EchelonBasis, cleared_vecs, extend_span, word_coordinates
 
 DEFAULT_WORD_CAP = 5000
-
-
-def _independent_scalars(ring, values: Sequence) -> list:
-    """The values outside the QQ-span of the earlier ones, in order.
-
-    Scalars take the matrix route as 1x1 matrices, so one ``cleared_vecs``
-    call coordinatizes them over every ring.
-    """
-    cells = [Matrix(ring, [[v]]) for v in values]
-    return extend_span(EchelonBasis(), cleared_vecs(cells), values)
 
 
 @dataclass(frozen=True)
@@ -101,7 +92,8 @@ def trace_algebra_generators(
     ring = pres.ring
     words = generator_words(pres.generators, word_length, word_cap)
     harvested = nonconstant_coefficients(chain.from_iterable(words))
-    kept = _independent_scalars(ring, harvested)
+    cells = [Matrix(ring, [[v]]) for v in harvested]
+    kept = extend_span(EchelonBasis(), cleared_vecs(cells), harvested)
     ident = Matrix.identity(ring, pres.size)
     closure = pres.adjoin([ident.scale(c) for c in kept], pres.label + "+trace")
     return TraceClosure(pres, word_length, tuple(kept), closure)
@@ -134,17 +126,18 @@ def module_finiteness_check(
 ) -> ModuleFinitenessReport:
     """Check that new generator words stop enlarging the central-span module.
 
-    Builds the QQ-span of {central monomial * module generator} and walks
-    the distinct generator words (at most ``word_cap``), each length in
-    ``Matrix.sort_key`` order; a word not in the span becomes a new
-    module generator.  One full length with no new generators means
+    One ``EchelonBasis``, on coordinates fixed for the call, takes the
+    QQ-span of {central monomial * module generator}.  The identity's
+    multiples go in first; the monomials that extend the span are the
+    central representatives.  Each length's distinct nonzero words (at
+    most ``word_cap``) are then tested in ``Matrix.sort_key`` order; a word
+    outside the span is a new module generator, and only then are its
+    multiples inserted.  One full length with no new generators means
     every longer word is also captured (modulo the central degree cap),
     so the filtration has stabilized at the reported rank.
     """
     pres = closure.base
     ring = pres.ring
-    ident = Matrix.identity(ring, pres.size)
-
     central = [ring.one]
     for degree in range(1, central_degree_cap + 1):
         for combo in combinations_with_replacement(closure.central_generators, degree):
@@ -152,36 +145,20 @@ def module_finiteness_check(
             for extra in combo[1:]:
                 value = value * extra
             central.append(value)
-    central_reps = _independent_scalars(ring, central)
-    per_word = len(central_reps)
-
-    # A QQ-basis of the module span, as matrices: the central multiples
-    # that extended it.  The identity admits every central representative.
-    span_mats = [ident.scale(c) for c in central_reps]
-    span_vecs: list = []  # their coordinates in the last length's clearing
+    coords = word_coordinates(pres.generators, length_cap, central)
     span = EchelonBasis()
+    ident = Matrix.identity(ring, pres.size)
+    # The first representative is 1, so a word's first multiple is the word.
+    central_reps = extend_span(span, (coords(ident.scale(c)) for c in central), central)
     module_rank = 1
     walk = generator_words(pres.generators, length_cap, word_cap)
     for length, words in enumerate(walk, 1):
-        candidates = sorted((w for w in words if not w.is_zero), key=Matrix.sort_key)
-        multiples = [w.scale(c) for w in candidates for c in central_reps]
-        known = len(span_mats)
-        vecs = cleared_vecs(span_mats + multiples)
-        if vecs[:known] != span_vecs:
-            # A new common denominator rescales the span's coordinates.
-            span = EchelonBasis()
-            for vec in vecs[:known]:
-                span.insert(vec)
-        span_vecs = vecs[:known]
         new_at_this_length = 0
-        for start in range(known, len(vecs), per_word):
-            # central_reps[0] is 1, so each word's first multiple is the word.
-            if span.contains(vecs[start]):
+        for word in sorted((w for w in words if not w.is_zero), key=Matrix.sort_key):
+            if span.insert(coords(word)) == DEPENDENT:
                 continue
-            for index in extend_span(span, vecs[start:start + per_word],
-                                     range(start, start + per_word)):
-                span_mats.append(multiples[index - known])
-                span_vecs.append(vecs[index])
+            for c in central_reps[1:]:
+                span.insert(coords(word.scale(c)))
             new_at_this_length += 1
         module_rank += new_at_this_length
         if new_at_this_length == 0:

@@ -6,6 +6,8 @@ graded-lex position of a monomial, so any matrix over QQ or QQ[x...]
 coordinatizes canonically.  Matrices over QQ(x) have no fixed monomial
 coordinate system; a finite family is handled by clearing the least
 common denominator of all entries first, which is injective on spans.
+A module check's words share one denominator fixed in advance
+(``word_coordinates``).
 
 ``EchelonBasis`` keeps triangular rows: leading keys are distinct, each
 leading coefficient is 1, and an insert leaves earlier rows alone.  Reads
@@ -93,16 +95,31 @@ def cleared_vecs(mats: Sequence[Matrix]) -> list:
     if not entries:
         return []
     lcd = common_denominator(entries)
-    out = []
-    for m in mats:
-        vec = {}
-        for i, row in enumerate(m.rows):
-            for j, e in enumerate(row):
-                p = cleared_numerator(e, lcd)
-                for mono, c in p.items_unordered():
-                    vec[(i, j, mono[0], mono)] = c
-        out.append(vec)
-    return out
+    return [_numerator_vec(m, lcd) for m in mats]
+
+
+def word_coordinates(generators: Sequence[Matrix], length: int, scalars: Sequence):
+    """Fixed QQ-coordinates of each c * w, c in ``scalars``, w the identity
+    or a product of at most ``length`` generators: ``matrix_to_vec``, or over
+    QQ(x) the numerators over L = D^length * lcd(scalars), D the monic lcm
+    of the generators' entry denominators.  A product of k generators has
+    denominators dividing D^k, so L clears every c * w; a matrix it does
+    not clear raises ValueError."""
+    if not isinstance(generators[0].ring, RatFuncField):
+        return matrix_to_vec
+    entries = [e for g in generators for row in g.rows for e in row]
+    lcd = common_denominator(entries) ** length * common_denominator(scalars)
+    return lambda mat: _numerator_vec(mat, lcd)
+
+
+def _numerator_vec(mat: Matrix, lcd: Poly) -> dict:
+    """QQ-coordinates of lcd * mat over QQ(x); ValueError unless lcd clears mat."""
+    vec = {}
+    for i, row in enumerate(mat.rows):
+        for j, e in enumerate(row):
+            for mono, c in cleared_numerator(e, lcd).items_unordered():
+                vec[(i, j, mono[0], mono)] = c
+    return vec
 
 
 def extend_span(basis: EchelonBasis, vecs: Iterable[dict], items: Iterable) -> list:

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 from pathlib import Path
 from unittest import mock
 
@@ -24,7 +26,7 @@ from gkgrowth.growth import gk_estimate
 from gkgrowth.matrices import Matrix
 from gkgrowth.parse import parse_poly_expr
 from gkgrowth.poly import PolyRing, RatFuncField, RationalField
-from gkgrowth.spans import EchelonBasis, poly_to_vec
+from gkgrowth.spans import DEPENDENT, EchelonBasis, cleared_vecs, poly_to_vec, word_coordinates
 
 Q = RationalField()
 RX = PolyRing(("x",))
@@ -88,22 +90,17 @@ def test_trace_harvest_computes_one_char_poly_per_distinct_word(
     monkeypatch, word_length, distinct_words
 ):
     pres = _diag_x_with_matrix_units()
-    words = []
-    for length in range(1, word_length + 1):
-        for letters in itertools.product(pres.generators, repeat=length):
-            word = letters[0]
-            for g in letters[1:]:
-                word = word * g
-            words.append(word)
     # Oracle: the coefficients of every word's char poly, duplicates included.
     harvest = []
-    for word in words:
-        for c in charpoly.char_poly(word).coeffs[:-1]:
-            if c and not c.is_constant and c not in harvest:
-                harvest.append(c)
+    for words in length_lex_words(pres.generators, word_length, word_cap=10_000):
+        for word in words:
+            for c in charpoly.char_poly(word).coeffs[:-1]:
+                if c and not c.is_constant and c not in harvest:
+                    harvest.append(c)
     calls = []
     real_char_poly = charpoly.char_poly
     monkeypatch.setattr(charpoly, "char_poly", lambda m: calls.append(m) or real_char_poly(m))
+    words = itertools.chain.from_iterable(generator_words(pres.generators, word_length))
     assert charpoly.nonconstant_coefficients(words) == harvest
     assert len(calls) == len(set(calls)) == distinct_words
     calls.clear()
@@ -394,3 +391,73 @@ def test_distinct_word_walk_agrees_with_the_length_lex_walk(pres, word_length):
         type(c) for c in old_closure.central_generators
     ]
     assert report == old_report
+
+
+def whole_family_module_check(closure, length_cap, central_degree_cap, word_cap=DEFAULT_WORD_CAP):
+    """Reference: the module check with whole-family clearing.  At each
+    length one ``cleared_vecs`` call coordinatizes the span so far and every
+    nonzero word's central multiples, and a fresh basis takes the span; then
+    each word, in ``Matrix.sort_key`` order, adds its multiples when it is
+    outside the span.  Returns the report's (stabilized, rank,
+    stabilized_at_length, word_length_reached)."""
+    pres = closure.base
+    ident = Matrix.identity(pres.ring, pres.size)
+    central = [pres.ring.one] + [
+        functools.reduce(operator.mul, combo)
+        for degree in range(1, central_degree_cap + 1)
+        for combo in itertools.combinations_with_replacement(closure.central_generators, degree)
+    ]
+    scaled = [ident.scale(c) for c in central]
+    basis = EchelonBasis()
+    reps = [c for c, vec in zip(central, cleared_vecs(scaled)) if basis.insert(vec) != DEPENDENT]
+    span_mats, rank = [ident.scale(c) for c in reps], 1
+    for length, words in enumerate(generator_words(pres.generators, length_cap, word_cap), 1):
+        family = span_mats + [w.scale(c) for w in sorted(
+            (w for w in words if not w.is_zero), key=Matrix.sort_key) for c in reps]
+        vecs, known, new = cleared_vecs(family), len(span_mats), 0
+        span = EchelonBasis()
+        for vec in vecs[:known]:
+            span.insert(vec)
+        for start in range(known, len(family), len(reps)):
+            if span.contains(vecs[start]):
+                continue
+            new += 1
+            for index in range(start, start + len(reps)):
+                if span.insert(vecs[index]) != DEPENDENT:
+                    span_mats.append(family[index])
+        if new == 0:
+            return (True, rank, length, length)
+        rank += new
+    return (False, None, None, length_cap)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(small_presentations(), st.integers(1, 4), st.integers(1, 2),
+       st.sampled_from([None, 2, 5, 12]))
+def test_module_check_agrees_with_whole_family_clearing(pres, length_cap, degree_cap, word_cap):
+    closure = trace_algebra_generators(pres, 1)
+    caps = {} if word_cap is None else {"word_cap": word_cap}
+    try:
+        report = module_finiteness_check(
+            closure, length_cap=length_cap, central_degree_cap=degree_cap, **caps)
+        got = (report.stabilized, report.rank, report.stabilized_at_length,
+               report.word_length_reached)
+    except CapExceededError as exc:
+        got = str(exc)
+    try:
+        want = whole_family_module_check(closure, length_cap, degree_cap, **caps)
+    except CapExceededError as exc:
+        want = str(exc)
+    assert got == want
+
+
+def test_ratfunc_word_coordinates_clear_only_the_words_they_were_built_for():
+    x = FX.gen()
+    gen = Matrix(FX, [[FX.one / x, FX.one], [FX.zero, x]])
+    scalar = FX.one / (x + FX.one)
+    coords = word_coordinates([gen], 2, [FX.one, scalar])
+    assert coords((gen * gen).scale(scalar))  # x^2 (x + 1) clears every entry
+    with pytest.raises(ValueError):
+        coords(gen * gen * gen)
+    with pytest.raises(ValueError):
+        coords(gen.scale(scalar * scalar))

@@ -93,3 +93,36 @@ def test_a_closure_subset_sweeps_to_the_same_sorted_lines_twice(deadline):
     report = texts["closure qxy 2x2 seed 0 word-len 3"].splitlines()
     assert report[-1].startswith("ModuleFinitenessReport(")
     assert report[0].startswith("Poly ")
+
+
+GROWTH_SUBSET = (
+    "growth qxy 2x2 seed 5 max-n 8",
+    "growth qx 3x3 seed 5 max-n 6",
+)
+
+
+def test_growth_cases_cover_every_ring_and_size():
+    sweep = load_sweep()
+    cases = sweep.growth_cases()
+    names = [name for name, _ in cases]
+    assert len(names) == len(set(names))
+    assert set(GROWTH_SUBSET) <= set(names)
+    assert {spec[:2] for _, spec in cases} == {
+        (kind, size) for kind in ("qq", "qxy", "qx") for size in (2, 3)
+    }
+
+
+def test_a_growth_subset_sweeps_to_the_same_sorted_lines_twice(deadline):
+    deadline(5)
+    sweep = load_sweep()
+    selected = [case for case in sweep.growth_cases() if case[0] in GROWTH_SUBSET]
+    lines = sweep.growth_sweep(selected)
+    assert lines == sorted(lines) == sweep.growth_sweep(selected)
+    assert sorted(line.split("  ", 1)[1] for line in lines) == sorted(GROWTH_SUBSET)
+    texts = {name: sweep.growth_text(spec).splitlines() for name, spec in selected}
+    polys = texts["growth qxy 2x2 seed 5 max-n 8"]
+    assert polys[0].startswith("dims ['int 1', ")
+    assert any(line.startswith("level 8 row ") for line in polys)
+    ratfuncs = texts["growth qx 3x3 seed 5 max-n 6"]
+    assert any(line.startswith("level 6 rep ") and "RatFunc " in line for line in ratfuncs)
+    assert not any(" row " in line for line in ratfuncs)

@@ -14,7 +14,13 @@ process on seeded 2x2 and 3x3 presentations over QQ, QQ[x,y] and QQ(x):
 ``module_finiteness_check``, with the default word caps and with caps
 that fire.  Its cases write the central generators with their types and
 the module report, or the exception type and message, hashed the same
-way.  It uses only the package's public names, so it runs on older trees.
+way.  A third list, ``growth_cases()``, runs ``growth_sequence`` on seeded
+2x2 and 3x3 presentations over the same three rings and writes the
+dimensions, ``stabilized_at``, every level's representatives and, over QQ
+and QQ[x,y], every level's snapshot rows, each value with its type.  Both
+in-process lists use only the package's public names, so they run on
+older trees.  Each list's wall time goes to stderr, against the sweep's
+2-minute budget; stdout and ``--out`` hold the digest lines only.
 
 A refactor that keeps every output byte gives an empty diff::
 
@@ -36,6 +42,7 @@ import os
 import random
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -120,7 +127,7 @@ def closure_cases() -> list:
             for kind, size, seed, length, cap in out]
 
 
-def _closure_presentation(gk, kind: str, size: int, seed: int):
+def _seeded_presentation(gk, kind: str, size: int, seed: int):
     """A seeded presentation with sparse entries, so that words repeat and vanish."""
     if kind == "qq":
         ring = gk.RationalField()
@@ -147,7 +154,7 @@ def closure_text(spec: tuple) -> str:
     import gkgrowth as gk
 
     kind, size, seed, word_length, cap = spec
-    pres = _closure_presentation(gk, kind, size, seed)
+    pres = _seeded_presentation(gk, kind, size, seed)
     caps = {} if cap is None else {"word_cap": cap}
     try:
         closure = gk.trace_algebra_generators(pres, word_length, **caps)
@@ -157,6 +164,56 @@ def closure_text(spec: tuple) -> str:
     generators = [f"{type(c).__name__} {pres.ring.element_str(c)}"
                   for c in closure.central_generators]
     return "\n".join(generators + [repr(report)])
+
+
+# Growth cases: (ring kind, matrix size, seed, max level) of each table.
+GROWTH_CASES = tuple(
+    (kind, size, seed, 8 if size == 2 else 6)
+    for kind in ("qq", "qxy", "qx") for size in (2, 3) for seed in range(2, 6)
+)
+
+
+def growth_cases() -> list:
+    """(name, spec) of every growth case; spec is (kind, size, seed, max level)."""
+    return [(f"growth {kind} {size}x{size} seed {seed} max-n {max_level}",
+             (kind, size, seed, max_level)) for kind, size, seed, max_level in GROWTH_CASES]
+
+
+def _typed(gk, ring, value) -> str:
+    """A ring element with its type, and a polynomial's coefficient types."""
+    if isinstance(value, gk.RatFunc):
+        polys = [value.num, value.den]
+    elif isinstance(value, gk.Poly):
+        polys = [value]
+    else:
+        return f"{type(value).__name__} {ring.element_str(value)}"
+    types = sorted({type(c).__name__ for p in polys for _, c in p.items_unordered()})
+    return f"{type(value).__name__} {ring.element_str(value)} {types}"
+
+
+def growth_text(spec: tuple) -> str:
+    """One growth case's output: the table's dimensions, ``stabilized_at``,
+    each level's representatives and, over QQ and QQ[x,y], its snapshot
+    rows, every value with its type; or the exception's type and message."""
+    import gkgrowth as gk
+
+    kind, size, seed, max_level = spec
+    pres = _seeded_presentation(gk, kind, size, seed)
+    try:
+        table = gk.growth_sequence(pres, max_level)
+    except Exception as exc:
+        return f"raised {type(exc).__name__}: {exc}"
+    lines = [f"dims {[f'{type(d).__name__} {d}' for d in table.dims]}",
+             f"stabilized_at {type(table.stabilized_at).__name__} {table.stabilized_at}"]
+    for n, level in enumerate(table.levels):
+        for r, rep in enumerate(level.representatives):
+            cells = [_typed(gk, pres.ring, e) for row in rep.rows for e in row]
+            lines.append(f"level {n} rep {r}: {cells}")
+        if kind != "qx":
+            for r, row in enumerate(level.snapshot.rows):
+                terms = [f"{k} {type(c).__name__} {c}" for k, c in sorted(row.items())]
+                lines.append(f"level {n} row {r}: {terms}")
+    return "\n".join(lines)
 
 
 def run_case(main, argv: list, scratch: Path) -> list:
@@ -201,10 +258,19 @@ def _use_checkout():
         sys.path.insert(0, str(ROOT / "src"))
 
 
+def _text_sweep(selected: list, text) -> list:
+    _use_checkout()
+    return sorted(f"{digest([(text(spec),)])}  {name}" for name, spec in selected)
+
+
 def closure_sweep(selected: list) -> list:
     """Sorted ``digest  name`` lines of the selected (name, spec) closure cases."""
-    _use_checkout()
-    return sorted(f"{digest([(closure_text(spec),)])}  {name}" for name, spec in selected)
+    return _text_sweep(selected, closure_text)
+
+
+def growth_sweep(selected: list) -> list:
+    """Sorted ``digest  name`` lines of the selected (name, spec) growth cases."""
+    return _text_sweep(selected, growth_text)
 
 
 def sweep(selected: list) -> list:
@@ -224,7 +290,17 @@ def _main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write the sorted digest lines here (default: stdout)")
     args = parser.parse_args()
-    text = "\n".join(sorted(sweep(cases()) + closure_sweep(closure_cases()))) + "\n"
+    lines = []
+    begin = time.perf_counter()
+    for name, run, selected in (("cli", sweep, cases()),
+                                ("closure", closure_sweep, closure_cases()),
+                                ("growth", growth_sweep, growth_cases())):
+        start = time.perf_counter()
+        lines += run(selected)
+        print(f"{name} list: {len(selected)} cases in {time.perf_counter() - start:.1f} s",
+              file=sys.stderr)
+    print(f"sweep: {time.perf_counter() - begin:.1f} s (budget 120 s)", file=sys.stderr)
+    text = "\n".join(sorted(lines)) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
