@@ -36,8 +36,7 @@ outcome of (h, r).  A chain of such twins lowers the generator index at
 each step, so it ends at a product that is formed.  Whether g and h
 commute is read once, exactly, from level 2, which forms both g*h and
 h*g when g and h are new at level 1 (nothing is skipped before level 3);
-a pair not read there is never taken to commute, and with no commuting
-pair no level records parents.  The set of distinct
+a pair not read there is never taken to commute.  The set of distinct
 candidates is therefore the one the all-products loop forms, and their
 sorted order, the representatives, the dimensions, ``stabilized_at`` and
 the point where a basis cap fires are the same.
@@ -123,44 +122,23 @@ def adjoin_generators(pres: AlgebraPresentation, extra: Sequence[Matrix], label:
     return pres.adjoin(extra, label)
 
 
-class _LevelReader:
-    """Reads one growth run's packed rows and vectors at the QQ boundary."""
-
-    __slots__ = ("codec", "ring", "shape", "_rows")
-
-    def __init__(self, codec: KeyCodec, ring, shape: tuple):
-        self.codec = codec
-        self.ring = ring
-        self.shape = shape
-        self._rows = {}  # id(packed row) -> (packed row, decoded row)
-
-    def row(self, packed: dict) -> dict:
-        # Rows are replaced, never mutated, so levels that share a row
-        # share its decoded copy too.
-        cached = self._rows.get(id(packed))
-        if cached is None:
-            cached = self._rows[id(packed)] = (packed, self.codec.unpack_vec(packed))
-        return cached[1]
-
-    def matrix(self, packed: dict) -> Matrix:
-        return matrix_from_vec(self.ring, self.shape, self.codec.unpack_vec(packed))
-
-
 class _CoordinateLevel:
     """One filtration level over QQ or QQ[x...], built at the boundary on first read.
 
     The level keeps the vectors it added and the triangular basis rows as
-    they stood after it, all on packed keys; the first ``packed_basis``
-    reduces the rows, into new dicts.  ``snapshot`` decodes them to tuple
-    keys and QQ values; ``representatives`` is the previous level's tuple
-    followed by this level's new matrices.
+    they stood after it, all on packed keys of its own codec; the first
+    ``packed_basis`` reduces the rows, into new dicts.  ``snapshot`` decodes
+    them to tuple keys and QQ values; ``representatives`` is the previous
+    level's tuple followed by this level's new matrices.
     """
 
-    __slots__ = ("_reader", "_rows", "_new_vecs", "_previous", "_snapshot", "_representatives")
+    __slots__ = ("_codec", "_ring", "_rows", "_new_vecs", "_previous", "_snapshot",
+                 "_representatives")
 
-    def __init__(self, reader: _LevelReader, rows: dict, new_vecs: list, previous,
+    def __init__(self, codec: KeyCodec, ring, rows: dict, new_vecs: list, previous,
                  representatives=None):
-        self._reader = reader
+        self._codec = codec
+        self._ring = ring
         self._rows = rows  # leading key -> triangular row; once read, the reduced rows in order
         self._new_vecs = new_vecs
         self._previous = previous
@@ -174,14 +152,15 @@ class _CoordinateLevel:
     @property
     def snapshot(self) -> SpanSnapshot:
         if self._snapshot is None:
-            self._snapshot = SpanSnapshot(tuple(map(self._reader.row, self.packed_basis()[1])))
+            rows = self.packed_basis()[1]
+            self._snapshot = SpanSnapshot(tuple(map(self._codec.unpack_vec, rows)))
         return self._snapshot
 
     def packed_basis(self) -> tuple:
         """(codec, reduced packed basis rows in increasing leading-key order), values as stored."""
         if isinstance(self._rows, dict):
             self._rows = [row for _, row in sorted(reduced_rows(self._rows).items())]
-        return self._reader.codec, list(self._rows)
+        return self._codec, list(self._rows)
 
     @property
     def representatives(self) -> tuple:
@@ -192,7 +171,10 @@ class _CoordinateLevel:
                 level = level._previous
             reps = level._representatives
             for level in reversed(pending):
-                reps = reps + tuple(level._reader.matrix(v) for v in level._new_vecs)
+                codec = level._codec
+                shape = (codec.size, codec.size)
+                reps = reps + tuple(matrix_from_vec(level._ring, shape, codec.unpack_vec(v))
+                                    for v in level._new_vecs)
                 level._representatives = reps
         return self._representatives
 
@@ -362,15 +344,15 @@ class _Builder:
 class _CoordinateBuilder(_Builder):
     """The filtration over QQ or QQ[x...] on packed integer coordinates.
 
-    The state is the echelon basis, which of the last level's products
-    became which of its new vectors (kept while a level may skip), which
-    generators commute, and the levels built so far.  A level's new
-    vectors are indexed by row when the next level is built, so the top
-    level's never are.  The packing base is the one a fresh build at the
-    highest level asked for uses.  Extending past it re-packs the basis
-    rows, the generator columns and the last level's new vectors; levels
-    already built keep their own reader, and the index-based product
-    state carries over unchanged.
+    The state is the echelon basis, the last level's outcome record (which
+    of its products became which of its new vectors), which generators
+    commute, and the levels built so far.  A level's new vectors are
+    indexed by row when the next level is built, so the top level's never
+    are.  The packing base is the one a fresh build at the highest level
+    asked for uses.  Extending past it re-packs the basis rows, the
+    generator columns and the last level's new vectors; levels already
+    built keep their own codec, and the index-based outcome record carries
+    over unchanged.
     """
 
     def __init__(self, ring, size: int, generators, max_level: int, basis_cap: int):
@@ -379,8 +361,8 @@ class _CoordinateBuilder(_Builder):
         # degree of a generator entry, so no digit of a packed key carries.
         self._degree = max((k[2] for vec in self._gen_vecs for k in vec), default=0)
         base = max(max_level, 1) * max(self._degree, 1) + 1
-        codec = KeyCodec(size, getattr(ring, "nvars", 0), base)
-        self._reader = _LevelReader(codec, ring, (size, size))
+        self._codec = codec = KeyCodec(size, getattr(ring, "nvars", 0), base)
+        self._ring = ring
         self._basis_cap = basis_cap
         self._basis = EchelonBasis()
         ident = Matrix.identity(ring, size)
@@ -393,61 +375,53 @@ class _CoordinateBuilder(_Builder):
         # For each generator, the generators before it that commute with it; read at level 2.
         self._partners = [()] * len(generators)
         self.dims = [1]
-        self.levels = [_CoordinateLevel(self._reader, self._basis.triangular_rows(), [ident_vec],
+        self.levels = [_CoordinateLevel(codec, ring, self._basis.triangular_rows(), [ident_vec],
                                         None, (ident,))]
         self.stabilized_at = None
 
     def _extend(self, top: int, label: str) -> None:
-        old = self._reader.codec
+        codec = self._codec
         vecs = self.levels[-1]._new_vecs
-        if top * self._degree >= old.base:
+        if top * self._degree >= codec.base:
             # Packing is monotone in the keys, so the echelon rows keep their order.
-            codec = KeyCodec(old.size, old.nvars, top * self._degree + 1)
+            old = codec
+            codec = self._codec = KeyCodec(old.size, old.nvars, top * self._degree + 1)
             self._basis.rekey(lambda key: codec.pack(old.unpack(key)))
             self._gen_cols = [codec.by_column(codec.pack_vec(g)) for g in self._gen_vecs]
-            self._reader = _LevelReader(codec, self._reader.ring, self._reader.shape)
             vecs = [old.repack(v, codec) for v in vecs]
         basis, gen_cols, made, partners = self._basis, self._gen_cols, self._made, self._partners
-        dims, levels, reader = self.dims, self.levels, self._reader
+        dims, levels, ring = self.dims, self.levels, self._ring
         for n in range(len(dims), top + 1):
-            new_rows = [reader.codec.by_row(v) for v in vecs]
-            width = len(new_rows)
+            new_rows = [codec.by_row(v) for v in vecs]
+            parents = [[] for _ in new_rows]
+            for (h, c), b in made.items():
+                parents[b].append((h, c))
             pairs, products, twins = [], [], []
-            if any(partners):
-                parents = [[] for _ in new_rows]
-                for (h, c), b in made.items():
-                    parents[b].append((h, c))
-                for g, col in enumerate(gen_cols):
-                    below = partners[g]
-                    for b, row in enumerate(new_rows):
-                        for h, c in parents[b] if below else ():
-                            # b = h*c, g*c = r and g*h = h*g, so g*b = h*r: the
-                            # product of a smaller generator index this level forms.
-                            if h in below and (g, c) in made:
-                                twins.append(((g, b), (h, made[g, c])))
-                                break
-                        else:
-                            pairs.append((g, b))
-                            products.append(packed_product(col, row))
-            else:
-                products = [packed_product(col, row) for col in gen_cols for row in new_rows]
+            for g, col in enumerate(gen_cols):
+                below = partners[g]
+                for b, row in enumerate(new_rows):
+                    for h, c in parents[b] if below else ():
+                        # b = h*c, g*c = r and g*h = h*g, so g*b = h*r: the
+                        # product of a smaller generator index this level forms.
+                        if h in below and (g, c) in made:
+                            twins.append(((g, b), (h, made[g, c])))
+                            break
+                    else:
+                        pairs.append((g, b))
+                        products.append(packed_product(col, row))
             if n == 2:
                 # Level 1's new vectors are generators, so this level formed
                 # g*h and h*g for each pair of them, skipping none; comparing
                 # the two decides whether they commute with no extra product.
                 # A pair not both new at level 1 is never taken to commute.
+                formed = dict(zip(pairs, products))
                 partners = self._partners = [set() for _ in gen_cols]
                 for (g, _), r_g in made.items():
                     for (h, _), r_h in made.items():
-                        if h < g and products[g * width + r_h] == products[h * width + r_g]:
+                        if h < g and formed[g, r_h] == formed[h, r_g]:
                             partners[g].add(h)
             made, new_vecs = {}, []
-            keep = n == 1 or any(partners)  # whether the next level reads the outcomes
-            if keep:
-                order = sorted(range(len(products)), key=list(map(vec_sort_key, products)).__getitem__)
-            else:
-                products.sort(key=vec_sort_key)
-                order = range(len(products))
+            order = sorted(range(len(products)), key=list(map(vec_sort_key, products)).__getitem__)
             previous_vec = new = None
             for i in order:
                 vec = products[i]
@@ -458,15 +432,16 @@ class _CoordinateBuilder(_Builder):
                         _check_cap(basis.dimension, self._basis_cap, n, label)
                         new = len(new_vecs)
                         new_vecs.append(vec)
-                if new is not None and keep:
-                    made[pairs[i] if pairs else divmod(i, width)] = new
+                if new is not None:
+                    made[pairs[i]] = new
             # Twins come in increasing generator index, so a twin that was
             # itself skipped has its outcome already.
             for pair, twin in twins:
                 if twin in made:
                     made[pair] = made[twin]
             dims.append(basis.dimension)
-            levels.append(_CoordinateLevel(reader, basis.triangular_rows(), new_vecs, levels[-1]))
+            rows = basis.triangular_rows()
+            levels.append(_CoordinateLevel(codec, ring, rows, new_vecs, levels[-1]))
             if not new_vecs:
                 # Every generator-times-representative product reduced to zero:
                 # the stable span is closed under multiplication by generators.

@@ -24,7 +24,7 @@ consistency failure (a bug, never a property of the input).
 
 The same document and configuration always produce byte-identical
 output; the optional cache (``--cache-dir``) stores the rendered output
-keyed by a content hash of (gkgrowth version, cache schema, command,
+keyed by a content hash of (the package's own source files, command,
 document, configuration) and replays it verbatim.  Each document is read
 once, and the bytes hashed are the bytes parsed.  Entries are written to
 a temporary file and renamed into place.
@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from . import __version__
 from ._ratio import ratio_str
 from .algebras import DEFAULT_BASIS_CAP, AlgebraPresentation, growth_sequence
 from .charpoly import cayley_hamilton_check
@@ -70,10 +69,6 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_NOT_SPLIT = 4
 EXIT_INTERNAL = 5
-
-# Bump when the rendering of any cached output changes without a version bump.
-CACHE_SCHEMA = 2
-
 
 # ---------------------------------------------------------------------------
 # presentation documents
@@ -257,9 +252,23 @@ def _emit(text: str, config: RunConfig):
         sys.stdout.write(text)
 
 
+@functools.cache
+def _source_digest() -> str:
+    """SHA-256 of the package's ``.py`` files, names and bytes, read once per process.
+
+    Any edit to the code that renders an output changes it, so an entry
+    is replayed only by the code that wrote it.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        for data in (path.name.encode(), path.read_bytes()):
+            digest.update(len(data).to_bytes(8, "big") + data)
+    return digest.hexdigest()
+
+
 def _cache_key(command: str, payloads: Sequence[bytes], config: RunConfig) -> str:
     digest = hashlib.sha256()
-    digest.update(f"gkgrowth {__version__} cache {CACHE_SCHEMA}\x00".encode())
+    digest.update(f"gkgrowth {_source_digest()}\x00".encode())
     digest.update(command.encode())
     digest.update(config.canonical().encode())
     for payload in payloads:

@@ -559,6 +559,33 @@ def test_skipped_products_leave_every_level_as_the_all_products_loop_builds_it(p
         assert [level_codec.repack(vec, codec) for vec in level._new_vecs] == new_vecs
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(small_presentations(sizes=(1, 3)), commuting_presentations()))
+def test_every_level_records_which_product_made_each_new_vector(pres):
+    # The outcome record the skip rule reads, kept on every level whether
+    # or not any generators commute: each new vector has a recorded
+    # (generator, parent) pair, and each recorded product is the vector
+    # it maps to.
+    top = 5 if pres.ring == Q else 4
+    gens = [algebras._integral_vec(matrix_to_vec(g))
+            for g in sorted(set(pres.generators), key=Matrix.sort_key)]
+    store = FiltrationStore()
+    for n in range(1, top + 1):
+        growth_sequence(pres, n, store=store)
+        (builder,) = store._builders.values()
+        if len(builder.levels) <= n:
+            break  # stabilized below n: no level was built by this request
+        level, below = builder.levels[n], builder.levels[n - 1]
+        codec = level.packed_basis()[0]
+        cols = [codec.by_column(codec.pack_vec(g)) for g in gens]
+        parents = [below.packed_basis()[0].repack(v, codec) for v in below._new_vecs]
+        recorded = set()
+        for (g, c), b in builder._made.items():
+            assert packed_product(cols[g], codec.by_row(parents[c])) == level._new_vecs[b]
+            recorded.add(b)
+        assert recorded == set(range(len(level._new_vecs))), n
+
+
 @pytest.mark.parametrize("m, level, formed_by_every_pair", [(3, 10, 2020), (4, 5, 625)])
 def test_a_closure_filtration_forms_each_distinct_product_once(monkeypatch, m, level,
                                                                formed_by_every_pair):

@@ -403,18 +403,30 @@ def test_cache_round_trip(write, capsys, tmp_path):
     assert len(entries) == 1
 
 
-@pytest.mark.parametrize("name, bumped", [("__version__", "99.0.0"), ("CACHE_SCHEMA", 99)])
-def test_cache_misses_after_a_version_or_schema_bump(write, capsys, tmp_path, monkeypatch,
-                                                      name, bumped):
+def test_cache_misses_after_a_source_change(write, capsys, tmp_path, monkeypatch):
     import gkgrowth.cli as cli
 
     path = write("poly.alg", POLY_1VAR)
     cache = tmp_path / "cache"
     _, old, _ = run_cli(capsys, "growth", path, "--cache-dir", str(cache))
-    monkeypatch.setattr(cli, name, bumped)
+    monkeypatch.setattr(cli, "_source_digest", lambda: "an edited source tree")
     code, new, _ = run_cli(capsys, "growth", path, "--cache-dir", str(cache))
     assert code == 0 and new == old
     assert len(list(cache.iterdir())) == 2
+
+
+def test_an_edit_to_any_module_changes_the_source_digest(monkeypatch):
+    import gkgrowth.cli as cli
+
+    fresh = cli._source_digest.__wrapped__
+    assert fresh() == cli._source_digest()
+    real = Path.read_bytes
+
+    def edited(path):
+        return real(path) + (b"\n" if path.name == "spans.py" else b"")
+
+    monkeypatch.setattr(Path, "read_bytes", edited)
+    assert fresh() != cli._source_digest()
 
 
 def test_an_interrupted_cache_write_leaves_no_entry(write, capsys, tmp_path, monkeypatch):

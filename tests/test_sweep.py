@@ -126,3 +126,36 @@ def test_a_growth_subset_sweeps_to_the_same_sorted_lines_twice(deadline):
     ratfuncs = texts["growth qx 3x3 seed 5 max-n 6"]
     assert any(line.startswith("level 6 rep ") and "RatFunc " in line for line in ratfuncs)
     assert not any(" row " in line for line in ratfuncs)
+
+
+STRUCTURE_SUBSET = (
+    "structure M2(dual) seed 0",
+    "structure H(-1,-1)",
+)
+
+
+def test_structure_cases_cover_every_kind():
+    sweep = load_sweep()
+    cases = sweep.structure_cases()
+    names = [name for name, _ in cases]
+    assert len(names) == len(set(names))
+    assert set(STRUCTURE_SUBSET) <= set(names)
+    assert {spec[0] for _, spec in cases} == {"M", "UT", "diag", "M2(dual)", "H", "ut2-x"}
+
+
+def test_a_structure_subset_sweeps_to_the_same_sorted_lines_twice(deadline):
+    deadline(5)
+    sweep = load_sweep()
+    selected = [case for case in sweep.structure_cases() if case[0] in STRUCTURE_SUBSET]
+    lines = sweep.structure_sweep(selected)
+    assert lines == sorted(lines) == sweep.structure_sweep(selected)
+    assert sorted(line.split("  ", 1)[1] for line in lines) == sorted(STRUCTURE_SUBSET)
+    texts = {name: sweep.structure_text(spec).splitlines() for name, spec in selected}
+    dual = texts["structure M2(dual) seed 0"]
+    assert dual[0] == "dim int 8"
+    assert "nilpotence_degree int 2" in dual
+    assert dual[-1].startswith("generator 4 radical: ")
+    # H(-1,-1) is a division algebra: its core is written, then the refusal.
+    quaternions = texts["structure H(-1,-1)"]
+    assert quaternions[0] == "dim int 4"
+    assert quaternions[-1].startswith("raised NotSplitOverBaseError: ")

@@ -17,10 +17,17 @@ the module report, or the exception type and message, hashed the same
 way.  A third list, ``growth_cases()``, runs ``growth_sequence`` on seeded
 2x2 and 3x3 presentations over the same three rings and writes the
 dimensions, ``stabilized_at``, every level's representatives and, over QQ
-and QQ[x,y], every level's snapshot rows, each value with its type.  Both
-in-process lists use only the package's public names, so they run on
-older trees.  Each list's wall time goes to stderr, against the sweep's
-2-minute budget; stdout and ``--out`` hold the digest lines only.
+and QQ[x,y], every level's snapshot rows, each value with its type.  A
+fourth list, ``structure_cases()``, runs ``close_to_fdalg``,
+``wedderburn_complement`` and ``decompose_element`` on seeded conjugates
+of M_k and UT_k, diag(1..6), M_2 over the dual numbers, quaternion
+algebras H(a,b) and ut2-x over QQ(x), and writes the core's dimension and
+structure constants, the ``WedderburnData`` coordinates and each
+generator's parts, each value with its type, up to the exception that
+stops it.  The in-process lists use only the package's public names, so
+they run on older trees.  Each list's wall time goes to stderr, against
+the sweep's 2-minute budget; stdout and ``--out`` hold the digest lines
+only.
 
 A refactor that keeps every output byte gives an empty diff::
 
@@ -216,6 +223,117 @@ def growth_text(spec: tuple) -> str:
     return "\n".join(lines)
 
 
+# Structure cases: (kind, parameter, seed) of each presentation; the seed,
+# when there is one, picks a change of basis and a generator order.
+STRUCTURE_CASES = (
+    tuple(("M", k, seed) for k in (2, 3, 4) for seed in range(3))
+    + tuple(("UT", k, seed) for k in (2, 3, 4, 5) for seed in range(3))
+    + (("diag", 6, 0), ("M2(dual)", 2, 0))
+    + tuple(("H", ab, None) for ab in ((-2, 3), (2, 7), (-7, 2), (-1, -1)))
+    + (("ut2-x", 2, None),)
+)
+
+
+def structure_cases() -> list:
+    """(name, spec) of every structure case; spec is (kind, parameter, seed)."""
+    out = []
+    for kind, param, seed in STRUCTURE_CASES:
+        if kind in ("M", "UT"):
+            name = f"{kind}{param}"
+        elif kind == "diag":
+            name = f"diag(1..{param})"
+        elif kind == "H":
+            name = "H({},{})".format(*param)
+        else:
+            name = kind
+        out.append((f"structure {name}" + ("" if seed is None else f" seed {seed}"),
+                    (kind, param, seed)))
+    return out
+
+
+def _conjugated(gk, ring, size: int, gens: list, seed: int) -> list:
+    """``gens`` conjugated by a seeded product of integer transvections
+    I + c*E_ij, in a seeded order."""
+    rng = random.Random(seed)
+    conj = inv = gk.Matrix.identity(ring, size)
+    for _ in range(size + 1):
+        i, j = rng.sample(range(size), 2)
+        move = gk.Matrix.elementary(ring, size, i, j, rng.choice((-2, -1, 1, 2)))
+        conj, inv = conj * move + conj, inv - move * inv
+    gens = [conj * g * inv for g in gens]
+    rng.shuffle(gens)
+    return gens
+
+
+def _structure_presentation(gk, kind: str, param, seed):
+    if kind == "ut2-x":
+        ring = gk.RatFuncField("x")
+        gens = [gk.Matrix.diagonal(ring, [ring.gen(), ring.zero]),
+                gk.Matrix.elementary(ring, 2, 0, 1)]
+        return gk.AlgebraPresentation(ring, 2, gens, kind)
+    ring = gk.RationalField()
+    if kind == "H":
+        # The left regular representation of i and j on 1, i, j, ij.
+        a, b = param
+        gens = [gk.Matrix(ring, [[0, a, 0, 0], [1, 0, 0, 0], [0, 0, 0, a], [0, 0, 1, 0]]),
+                gk.Matrix(ring, [[0, 0, b, 0], [0, 0, 0, -b], [1, 0, 0, 0], [0, -1, 0, 0]])]
+        return gk.AlgebraPresentation(ring, 4, gens, f"H({a},{b})")
+    E, k = gk.Matrix.elementary, param
+    if kind == "M":
+        gens = ([E(ring, k, i, i + 1) for i in range(k - 1)]
+                + [E(ring, k, i + 1, i) for i in range(k - 1)])
+    elif kind == "UT":
+        gens = [E(ring, k, i, i) for i in range(k)] + [E(ring, k, i, i + 1) for i in range(k - 1)]
+    elif kind == "diag":
+        gens = [gk.Matrix.diagonal(ring, range(1, k + 1))]
+    else:
+        # M_k(QQ[eps]/eps^2) on QQ^k (x) QQ^2: E_ab (x) I_2 and I_k (x) eps.
+        n = 2 * k
+        gens = [E(ring, n, 2 * a, 2 * b) + E(ring, n, 2 * a + 1, 2 * b + 1)
+                for a in range(k) for b in range(k)]
+        gens.append(sum((E(ring, n, 2 * a, 2 * a + 1) for a in range(k)),
+                        gk.Matrix.zeros(ring, n, n)))
+    size = gens[0].nrows
+    return gk.AlgebraPresentation(ring, size, _conjugated(gk, ring, size, gens, seed), kind)
+
+
+def structure_text(spec: tuple) -> str:
+    """One structure case's output: the core's dimension and structure
+    constants, the ``WedderburnData`` coordinates and each generator's
+    (complement, radical) parts, every value with its type, up to the
+    exception's type and message if one is raised."""
+    import gkgrowth as gk
+
+    pres = _structure_presentation(gk, *spec)
+
+    def typed(value) -> str:
+        return f"{type(value).__name__} {value}"
+
+    lines = []
+    try:
+        algebra = gk.close_to_fdalg(pres)
+        lines.append(f"dim {typed(algebra.core.dim)}")
+        for i, row in enumerate(algebra.core.table):
+            lines += [f"table {i} {j}: {[(k, typed(c)) for k, c in pairs]}"
+                      for j, pairs in enumerate(row)]
+        data = gk.wedderburn_complement(algebra)
+        lines.append(f"nilpotence_degree {typed(data.nilpotence_degree)}")
+        for name in ("radical_coords", "complement_coords", "idempotent_coords"):
+            lines += [f"{name} {r}: {list(map(typed, v))}"
+                      for r, v in enumerate(getattr(data, name))]
+        for b, units in enumerate(data.block_units_coords):
+            lines += [f"block {b} unit {pos}: {list(map(typed, v))}"
+                      for pos, v in sorted(units.items())]
+        for g, gen in enumerate(pres.generators):
+            parts = gk.decompose_element(algebra, data, gen)
+            for part, mat in zip(("complement", "radical"), parts):
+                cells = [_typed(gk, pres.ring, e) for row in mat.rows for e in row]
+                lines.append(f"generator {g} {part}: {cells}")
+    except Exception as exc:
+        lines.append(f"raised {type(exc).__name__}: {exc}")
+    return "\n".join(lines)
+
+
 def run_case(main, argv: list, scratch: Path) -> list:
     """The three runs of one invocation: (exit code, stdout, stderr, --out text) each."""
     out_path = scratch / "out.txt"
@@ -273,6 +391,11 @@ def growth_sweep(selected: list) -> list:
     return _text_sweep(selected, growth_text)
 
 
+def structure_sweep(selected: list) -> list:
+    """Sorted ``digest  name`` lines of the selected (name, spec) structure cases."""
+    return _text_sweep(selected, structure_text)
+
+
 def sweep(selected: list) -> list:
     """Sorted ``digest  name`` lines of the selected (name, argv) cases."""
     _use_checkout()
@@ -294,7 +417,8 @@ def _main() -> int:
     begin = time.perf_counter()
     for name, run, selected in (("cli", sweep, cases()),
                                 ("closure", closure_sweep, closure_cases()),
-                                ("growth", growth_sweep, growth_cases())):
+                                ("growth", growth_sweep, growth_cases()),
+                                ("structure", structure_sweep, structure_cases())):
         start = time.perf_counter()
         lines += run(selected)
         print(f"{name} list: {len(selected)} cases in {time.perf_counter() - start:.1f} s",
