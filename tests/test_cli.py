@@ -403,13 +403,28 @@ def test_cache_round_trip(write, capsys, tmp_path):
     assert len(entries) == 1
 
 
-def test_cache_misses_after_a_source_change(write, capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name, bumped", [("__version__", "99.0.0"), ("CACHE_SCHEMA", 99)])
+def test_cache_misses_after_a_version_or_schema_bump(write, capsys, tmp_path, monkeypatch,
+                                                      name, bumped):
+    # A version bump is an edit to __init__.py; a change to the entry format
+    # is an edit to cli.py. Either changes the source digest in the key.
     import gkgrowth.cli as cli
 
     path = write("poly.alg", POLY_1VAR)
     cache = tmp_path / "cache"
     _, old, _ = run_cli(capsys, "growth", path, "--cache-dir", str(cache))
-    monkeypatch.setattr(cli, "_source_digest", lambda: "an edited source tree")
+    package = Path(cli.__file__).resolve().parent
+    edited = package / {"__version__": "__init__.py", "CACHE_SCHEMA": "cli.py"}[name]
+    real = Path.read_bytes
+
+    def bumped_source(path):
+        data = real(path)
+        return data + f"\n{name} = {bumped!r}\n".encode() if path == edited else data
+
+    original = cli._source_digest()
+    monkeypatch.setattr(Path, "read_bytes", bumped_source)
+    monkeypatch.setattr(cli, "_source_digest", cli._source_digest.__wrapped__)
+    assert cli._source_digest() != original
     code, new, _ = run_cli(capsys, "growth", path, "--cache-dir", str(cache))
     assert code == 0 and new == old
     assert len(list(cache.iterdir())) == 2
