@@ -24,10 +24,11 @@ consistency failure (a bug, never a property of the input).
 
 The same document and configuration always produce byte-identical
 output; the optional cache (``--cache-dir``) stores the rendered output
-keyed by a content hash of (the package's own source files, command,
-document, configuration) and replays it verbatim.  Each document is read
-once, and the bytes hashed are the bytes parsed.  Entries are written to
-a temporary file and renamed into place.
+keyed by a content hash of (the package's own source files, read when
+this module is imported, command, document, configuration) and replays
+it verbatim.  Each document is read once, and the bytes hashed are the
+bytes parsed.  Entries are written to a temporary file and renamed into
+place.
 
 ``main(argv)`` may be called any number of times in one process; the calls
 share one argument parser, built on the first call.
@@ -252,13 +253,8 @@ def _emit(text: str, config: RunConfig):
         sys.stdout.write(text)
 
 
-@functools.cache
 def _source_digest() -> str:
-    """SHA-256 of the package's ``.py`` files, names and bytes, read once per process.
-
-    Any edit to the code that renders an output changes it, so an entry
-    is replayed only by the code that wrote it.
-    """
+    """SHA-256 of the package's ``.py`` files, names and bytes."""
     digest = hashlib.sha256()
     for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
         for data in (path.name.encode(), path.read_bytes()):
@@ -266,9 +262,14 @@ def _source_digest() -> str:
     return digest.hexdigest()
 
 
+# Read as this module is imported, right after the package's modules are
+# loaded, so an entry is replayed only by code from the sources that wrote it.
+_SOURCE_DIGEST = _source_digest()
+
+
 def _cache_key(command: str, payloads: Sequence[bytes], config: RunConfig) -> str:
     digest = hashlib.sha256()
-    digest.update(f"gkgrowth {_source_digest()}\x00".encode())
+    digest.update(f"gkgrowth {_SOURCE_DIGEST}\x00".encode())
     digest.update(command.encode())
     digest.update(config.canonical().encode())
     for payload in payloads:

@@ -88,7 +88,6 @@ from .errors import (
 from .matrices import Matrix
 from .poly import Poly, PolyRing, RatFuncField, uni_gcd
 from .spans import (
-    EXTENDED,
     EchelonBasis,
     KeyCodec,
     SpanSnapshot,
@@ -152,15 +151,8 @@ def _lincomb(coeffs: Sequence, vectors: Sequence[tuple], dim: int) -> tuple:
 
 
 def _coord_span(vectors: Sequence[tuple]):
-    # Inline rather than ``extend_span``: structure theory makes hundreds of
-    # these calls on a few vectors each (760 in a qq-structure pass), and
-    # through ``extend_span`` that pass ran slower in 9 of 10 paired runs.
     basis = EchelonBasis()
-    reps = []
-    for v in vectors:
-        if basis.insert(_vec_to_dict(v)) == EXTENDED:
-            reps.append(v)
-    return basis, reps
+    return basis, extend_span(basis, map(_vec_to_dict, vectors), vectors)
 
 
 def _kernel(basis: EchelonBasis, ncols: int) -> list:

@@ -403,45 +403,35 @@ def test_cache_round_trip(write, capsys, tmp_path):
     assert len(entries) == 1
 
 
-@pytest.mark.parametrize("name, bumped", [("__version__", "99.0.0"), ("CACHE_SCHEMA", 99)])
+@pytest.mark.parametrize("module, line", [
+    pytest.param("__init__.py", "__version__ = '99.0.0'", id="__version__-99.0.0"),
+    pytest.param("cli.py", "CACHE_SCHEMA = 99", id="CACHE_SCHEMA-99"),
+    pytest.param("spans.py", "", id="spans.py"),
+])
 def test_cache_misses_after_a_version_or_schema_bump(write, capsys, tmp_path, monkeypatch,
-                                                      name, bumped):
-    # A version bump is an edit to __init__.py; a change to the entry format
-    # is an edit to cli.py. Either changes the source digest in the key.
+                                                      module, line):
+    # A version bump is an edit to __init__.py, a change to the entry format
+    # an edit to cli.py, and an edit to any other module counts the same:
+    # each changes the source digest in the key.
     import gkgrowth.cli as cli
 
     path = write("poly.alg", POLY_1VAR)
     cache = tmp_path / "cache"
     _, old, _ = run_cli(capsys, "growth", path, "--cache-dir", str(cache))
-    package = Path(cli.__file__).resolve().parent
-    edited = package / {"__version__": "__init__.py", "CACHE_SCHEMA": "cli.py"}[name]
+    assert cli._source_digest() == cli._SOURCE_DIGEST
     real = Path.read_bytes
 
-    def bumped_source(path):
-        data = real(path)
-        return data + f"\n{name} = {bumped!r}\n".encode() if path == edited else data
+    def edited_source(source):
+        data = real(source)
+        return data + f"\n{line}\n".encode() if source.name == module else data
 
-    original = cli._source_digest()
-    monkeypatch.setattr(Path, "read_bytes", bumped_source)
-    monkeypatch.setattr(cli, "_source_digest", cli._source_digest.__wrapped__)
-    assert cli._source_digest() != original
+    monkeypatch.setattr(Path, "read_bytes", edited_source)
+    edited = cli._source_digest()
+    assert edited != cli._SOURCE_DIGEST
+    monkeypatch.setattr(cli, "_SOURCE_DIGEST", edited)
     code, new, _ = run_cli(capsys, "growth", path, "--cache-dir", str(cache))
     assert code == 0 and new == old
     assert len(list(cache.iterdir())) == 2
-
-
-def test_an_edit_to_any_module_changes_the_source_digest(monkeypatch):
-    import gkgrowth.cli as cli
-
-    fresh = cli._source_digest.__wrapped__
-    assert fresh() == cli._source_digest()
-    real = Path.read_bytes
-
-    def edited(path):
-        return real(path) + (b"\n" if path.name == "spans.py" else b"")
-
-    monkeypatch.setattr(Path, "read_bytes", edited)
-    assert fresh() != cli._source_digest()
 
 
 def test_an_interrupted_cache_write_leaves_no_entry(write, capsys, tmp_path, monkeypatch):
