@@ -13,11 +13,15 @@ reads any matrix at the pivot keys too.
 The structure constants are a sparse table: for each (i, j) the nonzero
 (k, c) pairs of b_i*b_j, with integral c stored as ``int``.  Products,
 the trace form and the center visit only those pairs.  Coordinate
-vectors keep integral values as ``int`` as well (basis vectors, the unit,
-quotient projections, lifted idempotents), so an algebra with integer
-structure constants, such as M_k, UT_k or diag(1..d), runs in int
-arithmetic throughout.  Values compare numerically, so every result
-equals the one computed with QQ values.
+vectors are sparse as well: a dict {basis index: value} with no zero
+value, so a product visits only the nonzeros of both factors.  Integral
+values are kept as ``int`` (basis vectors, the unit, kernels, quotient
+projections, lifted idempotents), so an algebra with integer structure
+constants, such as M_k, UT_k or diag(1..d), runs in int arithmetic
+throughout.  Values compare numerically, so every result equals the one
+computed with QQ values.  Vectors leave the module dense: the
+``WedderburnData`` coordinates are tuples of dim values, each integral
+value an ``int``.
 
 The radical is the kernel of the trace form Tr(L_a L_b) of the left
 regular representation, which is exactly the radical in characteristic
@@ -52,7 +56,9 @@ and the block's matrix units are found in the algebra itself, between
 the lifted idempotents.
 
 Every kernel, solve and coordinate computation runs on the one exact
-elimination engine, ``EchelonBasis``.
+elimination engine, ``EchelonBasis``, which takes the sparse vectors as
+they are.  A minimal polynomial comes from one echelon basis of the
+powers of u, each tagged with its exponent (a Krylov sequence).
 
 Presentations over QQ(x) are closed under the scalar field first; if the
 resulting structure constants are all rational, the computation proceeds
@@ -68,6 +74,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import gcd, lcm
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -105,66 +112,56 @@ _T_RING = PolyRing(("t",))
 # ---------------------------------------------------------------------------
 # coordinate vectors
 #
-# A vector is a dense tuple of dim rational values; integral values are
-# kept as ``int`` (``_integral``), so algebras with integer structure
-# constants run in int arithmetic.  Values compare numerically, so an int
-# vector equals the same vector with QQ values.
+# A vector is a dict {basis index: value} holding no zero value, so it goes
+# into ``EchelonBasis`` as it is and dict equality is vector equality.
+# Integral values are kept as ``int`` where vectors are formed
+# (``_integral``), so algebras with integer structure constants run in int
+# arithmetic; values compare numerically, so an int vector equals the same
+# vector with QQ values.  Vectors leave the module dense (``_dense``).
 
 
-def _integral(u) -> tuple:
+def _integral(u: dict) -> dict:
     """u with each integral value as an int; other values stay QQ."""
-    return tuple(c.numerator if c.denominator == 1 else c for c in u)
+    return {k: c.numerator if c.denominator == 1 else c for k, c in u.items()}
 
 
-def _vec_add(u: tuple, v: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
+def _dense(u: dict, dim: int) -> tuple:
+    """u as a tuple of dim values, integral values as int: the form of every
+    vector the module returns, and the order its sorts compare in."""
+    u = _integral(u)
+    return tuple(u.get(k, 0) for k in range(dim))
 
 
-def _vec_sub(u: tuple, v: tuple) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
+def _sorted(vectors, dim: int) -> list:
+    """The vectors in the order of their dense tuples."""
+    return sorted(vectors, key=lambda u: _dense(u, dim))
 
 
-def _vec_scale(u: tuple, c) -> tuple:
-    return tuple(a * c for a in u)
+def _pair_sum(terms) -> dict:
+    """sum c * v over (c, v) terms, v given by its (k, value) pairs: a table
+    entry or a vector's ``items()``."""
+    out = {}
+    for c, pairs in terms:
+        for k, t in pairs:
+            out[k] = out.get(k, 0) + c * t
+    return {k: v for k, v in out.items() if v}
 
 
-def _vec_is_zero(u: tuple) -> bool:
-    return not any(u)
-
-
-def _vec_to_dict(u: tuple) -> dict:
-    return {(i,): c for i, c in enumerate(u) if c}
-
-
-def _sparse(u) -> tuple:
-    """The nonzero (k, value) pairs of a coordinate list, integral values as int."""
-    return tuple((k, c) for k, c in enumerate(_integral(u)) if c)
-
-
-def _lincomb(coeffs: Sequence, vectors: Sequence[tuple], dim: int) -> tuple:
-    """sum c * v over the nonzero coefficients."""
-    out = (0,) * dim
-    for c, v in zip(coeffs, vectors):
-        if c:
-            out = _vec_add(out, _vec_scale(v, c))
-    return out
-
-
-def _coord_span(vectors: Sequence[tuple]):
+def _coord_span(vectors: Sequence[dict]):
     basis = EchelonBasis()
-    return basis, extend_span(basis, map(_vec_to_dict, vectors), vectors)
+    return basis, extend_span(basis, vectors, vectors)
 
 
 def _kernel(basis: EchelonBasis, ncols: int) -> list:
-    """Canonical null-space basis of an echelon basis over keys (0,)..(ncols-1,)."""
-    return [_integral(v) for v in basis.kernel([(i,) for i in range(ncols)], 1)]
+    """Canonical null-space basis of an echelon basis over keys 0..ncols-1."""
+    return [_integral(v) for v in basis.kernel(range(ncols), 1)]
 
 
-def _null_space(rows: Sequence[Sequence], ncols: int) -> list:
-    """Canonical kernel basis of a QQ matrix given by its rows."""
+def _null_space(rows: Sequence[dict], ncols: int) -> list:
+    """Canonical kernel basis of a QQ matrix given by its sparse rows."""
     basis = EchelonBasis()
     for row in rows:
-        basis.insert(_vec_to_dict(row))
+        basis.insert(row)
     return _kernel(basis, ncols)
 
 
@@ -183,47 +180,51 @@ class StructureAlgebra:
 
     dim: int
     table: tuple
-    unit: tuple
+    unit: dict
 
-    def mul(self, u: tuple, v: tuple) -> tuple:
-        out = [0] * self.dim
-        right = [(j, vj) for j, vj in enumerate(v) if vj]
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
+    def mul(self, u: dict, v: dict) -> dict:
+        out = {}
+        right = v.items()
+        for i, ui in u.items():
             ti = self.table[i]
             for j, vj in right:
                 c = ui * vj
                 for k, t in ti[j]:
-                    out[k] += c * t
-        return tuple(out)
+                    out[k] = out.get(k, 0) + c * t
+        return {k: c for k, c in out.items() if c}
 
-    def basis_vector(self, i: int) -> tuple:
-        return tuple(1 if k == i else 0 for k in range(self.dim))
+    def basis_vector(self, i: int) -> dict:
+        return {i: 1}
 
-    def min_poly(self, u: tuple, unit: Optional[tuple] = None) -> Poly:
-        """Monic minimal polynomial of u (over a custom unit if given)."""
-        one = self.unit if unit is None else unit
-        powers = [one]
-        while True:
-            nxt = self.mul(powers[-1], u)
-            sol = EchelonBasis.solve([_vec_to_dict(p) for p in powers], _vec_to_dict(nxt))
-            if sol is not None:
-                coeffs = [-c for c in sol] + [1]
-                return Poly.from_uni_coeffs(_T_RING, coeffs)
-            powers.append(nxt)
-            if len(powers) > self.dim + 1:
-                raise InternalCheckError("minimal polynomial exceeds the algebra dimension")
+    def min_poly(self, u: dict, unit: Optional[dict] = None) -> Poly:
+        """Monic minimal polynomial of u (over a custom unit if given).
 
-    def evaluate(self, coeffs: Sequence, u: tuple, unit: Optional[tuple] = None) -> tuple:
+        The power u^m enters one echelon basis with the tag key dim + m set
+        to 1.  When a power reduces to tags alone, u^m - sum c_i u^i = 0 and
+        the residue holds -c_i at tag i and 1 at tag m: the coefficients.
+        """
+        n = self.dim
+        powers = EchelonBasis()
+        power = self.unit if unit is None else unit
+        powers.insert({**power, n: 1})
+        for m in range(1, n + 2):
+            power = self.mul(power, u)
+            residue = powers.reduce({**power, n + m: 1})
+            if min(residue) >= n:
+                return Poly.from_uni_coeffs(_T_RING, [residue.get(n + i, 0) for i in range(m + 1)])
+            powers.insert(residue)
+        raise InternalCheckError("minimal polynomial exceeds the algebra dimension")
+
+    def evaluate(self, coeffs: Sequence, u: dict, unit: Optional[dict] = None) -> dict:
         """Horner evaluation at u of the polynomial with these coefficients,
         lowest degree first."""
-        one = self.unit if unit is None else unit
-        acc = (0,) * self.dim
-        for c in reversed(_integral(coeffs)):
+        one = (self.unit if unit is None else unit).items()
+        acc = {}
+        for c in reversed(coeffs):
             acc = self.mul(acc, u)
             if c:
-                acc = _vec_add(acc, _vec_scale(one, c))
+                c = c.numerator if c.denominator == 1 else c
+                acc = _pair_sum(((1, acc.items()), (c, one)))
         return acc
 
 
@@ -258,12 +259,12 @@ class FiniteDimAlgebra:
         return self.presentation.size
 
     def from_coords(self, coords: Sequence) -> Matrix:
-        """sum c_i * b_i.  Over QQ and QQ[x...] it is summed on the span's
-        sparse rows, so integral coordinates stay ints until the matrix."""
+        """sum c_i * b_i for a dense coordinate sequence.  Over QQ and
+        QQ[x...] it is summed on the span's sparse rows."""
         if isinstance(self.ring, RatFuncField):
             return _combine(self.ring, self.size, coords, self.basis)
         vec = {}
-        for c, row in zip(_integral(coords), self.span.rows):
+        for c, row in zip(coords, self.span.rows):
             if c:
                 for k, v in row.items():
                     vec[k] = vec.get(k, 0) + c * v
@@ -345,10 +346,10 @@ def close_to_fdalg(
     lefts = [codec.by_column(row) for row in packed]
     rights = [codec.by_row(row) for row in packed]
     struct_rows = tuple(tuple(pairs(packed_product(a, b)) for b in rights) for a in lefts)
-    unit = span.coordinates(_integral_vec(matrix_to_vec(pres.identity)), 1)
+    unit = pivot_pairs(codec.pack_vec(_integral_vec(matrix_to_vec(pres.identity))), leads, packed)
     if unit is None:
         raise InternalCheckError("identity missing from a unital span closure")
-    core = StructureAlgebra(len(basis), struct_rows, _integral(unit))
+    core = StructureAlgebra(len(basis), struct_rows, dict(unit))
     return FiniteDimAlgebra(core, basis, pres, span)
 
 
@@ -372,26 +373,26 @@ def _close_scalar_field(pres: AlgebraPresentation) -> FiniteDimAlgebra:
         basis.append(Matrix(ring, cells))
     basis = tuple(basis)
 
-    def rational_coords(mat: Matrix) -> list:
+    def rational_coords(mat: Matrix) -> dict:
         coords = snapshot.coordinates(matrix_to_field_vec(mat), ring.one)
         if coords is None:
             raise InternalCheckError("scalar-field closure is not closed under products")
-        rational = []
-        for c in coords:
+        rational = {}
+        for i, c in enumerate(coords):
             if not c.is_constant:
                 raise NotSplitOverBaseError(
                     f"{pres.label!r}: the scalar-field closure has no rational "
                     "structure constants in its canonical basis; structure theory "
                     "over the base field is not available for this input"
                 )
-            rational.append(c.constant_value())
-        return rational
+            if c:
+                rational[i] = c.constant_value()
+        return _integral(rational)
 
     struct_rows = tuple(
-        tuple(_sparse(rational_coords(bi * bj)) for bj in basis) for bi in basis
+        tuple(tuple(rational_coords(bi * bj).items()) for bj in basis) for bi in basis
     )
-    unit = _integral(rational_coords(ident))
-    core = StructureAlgebra(len(basis), struct_rows, unit)
+    core = StructureAlgebra(len(basis), struct_rows, rational_coords(ident))
     return FiniteDimAlgebra(core, basis, pres, snapshot)
 
 
@@ -400,7 +401,7 @@ def _close_scalar_field(pres: AlgebraPresentation) -> FiniteDimAlgebra:
 
 
 def _trace_form(core: StructureAlgebra) -> list:
-    """Gram matrix Tr(L_{b_i} L_{b_j}) of the regular trace form.
+    """Gram matrix Tr(L_{b_i} L_{b_j}) of the regular trace form, as sparse rows.
 
     Dickson's identity Tr(L_a L_b) = Tr(L_{ab}) turns it into t . (b_i b_j)
     with t_k = Tr(L_{b_k}) = sum_j c_{kj}^j, which costs O(dim^3) instead
@@ -409,7 +410,8 @@ def _trace_form(core: StructureAlgebra) -> list:
     n = core.dim
     trace = [sum(c for j, pairs in enumerate(core.table[k]) for l, c in pairs if l == j)
              for k in range(n)]
-    return [[sum(c * trace[k] for k, c in pairs) for pairs in row] for row in core.table]
+    return [{j: g for j, pairs in enumerate(row) if (g := sum(c * trace[k] for k, c in pairs))}
+            for row in core.table]
 
 
 def radical_coords(core: StructureAlgebra) -> list:
@@ -427,7 +429,7 @@ def _radical(core: StructureAlgebra):
     return kernel, _verify_radical(core, kernel)
 
 
-def _verify_radical(core: StructureAlgebra, rad: Sequence[tuple]) -> int:
+def _verify_radical(core: StructureAlgebra, rad: Sequence[dict]) -> int:
     """Check that rad spans a nilpotent two-sided ideal; return its degree.
 
     z*b_i and b_i*z are summed from the table's pairs at z's nonzeros,
@@ -436,26 +438,15 @@ def _verify_radical(core: StructureAlgebra, rad: Sequence[tuple]) -> int:
     span, reps = _coord_span(rad)
     table = core.table
     for z in reps:
-        support = [(a, c) for a, c in enumerate(z) if c]
         for i in range(core.dim):
-            for product in (_pair_sum((c, table[a][i]) for a, c in support),
-                            _pair_sum((c, table[i][a]) for a, c in support)):
+            for product in (_pair_sum((c, table[a][i]) for a, c in z.items()),
+                            _pair_sum((c, table[i][a]) for a, c in z.items())):
                 if not span.contains(product):
                     raise InternalCheckError("trace-form kernel is not a two-sided ideal")
     return nilpotence_degree_coords(core, reps)
 
 
-def _pair_sum(terms) -> dict:
-    """sum c * b over (c, table pairs of b) terms, as a sparse vector keyed (k,)."""
-    out = {}
-    for c, pairs in terms:
-        for k, t in pairs:
-            key = (k,)
-            out[key] = out.get(key, 0) + c * t
-    return {k: v for k, v in out.items() if v}
-
-
-def nilpotence_degree_coords(core: StructureAlgebra, rad: Sequence[tuple]) -> int:
+def nilpotence_degree_coords(core: StructureAlgebra, rad: Sequence[dict]) -> int:
     """Least m with (span of rad)^m = 0; 1 for the zero subspace."""
     _, reps = _coord_span(rad)
     if not reps:
@@ -474,34 +465,28 @@ def nilpotence_degree_coords(core: StructureAlgebra, rad: Sequence[tuple]) -> in
 # quotient by an ideal
 
 
-def quotient_by_ideal(core: StructureAlgebra, ideal: Sequence[tuple]):
+def quotient_by_ideal(core: StructureAlgebra, ideal: Sequence[dict]):
     """Quotient algebra plus the projection/section coordinate maps.
 
     The quotient by the zero ideal is the algebra itself.
     """
     span, _ = _coord_span(ideal)
     if not span.dimension:
-        return core, _integral, tuple
-    pivot_positions = [k[0] for k in span.leading_keys()]
-    free_positions = [i for i in range(core.dim) if i not in set(pivot_positions)]
+        return core, _integral, dict
+    pivots = set(span.leading_keys())
+    free_positions = [i for i in range(core.dim) if i not in pivots]
     index_of = {pos: idx for idx, pos in enumerate(free_positions)}
 
-    def project(u: tuple) -> tuple:
-        residue = span.reduce(_vec_to_dict(u))
-        out = [0] * len(free_positions)
-        for (pos,), value in residue.items():
-            out[index_of[pos]] = value
-        return _integral(out)
+    def project(u: dict) -> dict:
+        return _integral({index_of[pos]: value for pos, value in span.reduce(u).items()})
 
-    def section(ubar: tuple) -> tuple:
-        out = [0] * core.dim
-        for idx, value in enumerate(ubar):
-            out[free_positions[idx]] = value
-        return tuple(out)
+    def section(ubar: dict) -> dict:
+        return {free_positions[idx]: value for idx, value in ubar.items()}
 
-    # The section of the j-th quotient basis vector is a core basis vector.
-    lifts = [core.basis_vector(pos) for pos in free_positions]
-    table = tuple(tuple(_sparse(project(core.mul(a, b))) for b in lifts) for a in lifts)
+    # The section of the j-th quotient basis vector is a core basis vector,
+    # so its products are the table's entries.
+    table = tuple(tuple(tuple(sorted(project(dict(core.table[a][b])).items()))
+                        for b in free_positions) for a in free_positions)
     bar = StructureAlgebra(len(free_positions), table, project(core.unit))
     return bar, project, section
 
@@ -534,8 +519,6 @@ def rational_roots(poly: Poly) -> list:
             coeffs = coeffs[1:]
     if len(coeffs) <= 1:
         return sorted(set(roots))
-    from math import gcd, lcm
-
     denominator_lcm = 1
     for c in coeffs:
         denominator_lcm = lcm(denominator_lcm, int(c.denominator))
@@ -561,7 +544,7 @@ def rational_roots(poly: Poly) -> list:
 # spectral idempotents
 
 
-def _spectral_idempotents(core: StructureAlgebra, u: tuple, e: tuple, mu: Poly):
+def _spectral_idempotents(core: StructureAlgebra, u: dict, e: dict, mu: Poly):
     """Primary idempotents of u in eAe, one per rational root of its
     minimal polynomial mu, roots in increasing order.
 
@@ -587,7 +570,8 @@ def _spectral_idempotents(core: StructureAlgebra, u: tuple, e: tuple, mu: Poly):
         if len(cofactor) == 1:
             yield e
             continue
-        value = _vec_scale(core.evaluate(cofactor, u, unit=e), QQ(1) / at_root)
+        scale = QQ(1) / at_root
+        value = {k: c * scale for k, c in core.evaluate(cofactor, u, unit=e).items()}
         yield _newton_idempotent(core, value, multiplicity.bit_length() + 1)
 
 
@@ -633,13 +617,16 @@ def central_primitive_idempotents_coords(core: StructureAlgebra) -> list:
             refined.extend(pieces)
         idems = refined
     _verify_idempotent_family(core, idems, center)
-    return sorted(idems)
+    return _sorted(idems, core.dim)
 
 
-def _is_multiple(u: tuple, e: tuple) -> bool:
-    """Whether u = c*e for a scalar c, e nonzero: u*e_p = e*u_p at e's first nonzero p."""
-    p = next(k for k, c in enumerate(e) if c)
-    return _vec_scale(u, e[p]) == _vec_scale(e, u[p])
+def _is_multiple(u: dict, e: dict) -> bool:
+    """Whether u = c*e for a scalar c, e nonzero: u*e_p = e*u_p at a nonzero p of e."""
+    p = next(iter(e))
+    ep, up = e[p], u.get(p, 0)
+    if not up:
+        return not u
+    return u.keys() == e.keys() and all(u[k] * ep == c * up for k, c in e.items())
 
 
 def _center_coords(core: StructureAlgebra) -> list:
@@ -651,25 +638,22 @@ def _center_coords(core: StructureAlgebra) -> list:
         for b, pairs in enumerate(row):
             for k, c in pairs:
                 plus, minus = rows.setdefault((b, k), {}), rows.setdefault((a, k), {})
-                plus[(a,)] = plus.get((a,), 0) + c
-                minus[(b,)] = minus.get((b,), 0) - c
+                plus[a] = plus.get(a, 0) + c
+                minus[b] = minus.get(b, 0) - c
     basis = EchelonBasis()
     for key in sorted(rows):
         basis.insert({i: c for i, c in rows[key].items() if c})
     return _kernel(basis, core.dim)
 
 
-def _verify_idempotent_family(core: StructureAlgebra, idems: Sequence[tuple], center):
+def _verify_idempotent_family(core: StructureAlgebra, idems: Sequence[dict], center):
     # No separate idempotence check: for an orthogonal family summing to the
     # unit, e = e * sum(idems) = e^2.
-    total = (0,) * core.dim
-    for e in idems:
-        total = _vec_add(total, e)
-    if total != core.unit:
+    if _pair_sum((1, e.items()) for e in idems) != core.unit:
         raise InternalCheckError("central idempotents do not sum to the unit")
     for a in idems:
         for b in idems:
-            if a is not b and not _vec_is_zero(core.mul(a, b)):
+            if a is not b and core.mul(a, b):
                 raise InternalCheckError("central idempotents are not orthogonal")
     for e in idems:
         _, reps = _coord_span([core.mul(z, e) for z in center])
@@ -681,13 +665,13 @@ def _verify_idempotent_family(core: StructureAlgebra, idems: Sequence[tuple], ce
 # primitive idempotents and matrix units inside a semisimple algebra
 
 
-def _corner_basis(core: StructureAlgebra, e: tuple) -> list:
+def _corner_basis(core: StructureAlgebra, e: dict) -> list:
     vectors = [core.mul(e, core.mul(core.basis_vector(i), e)) for i in range(core.dim)]
     _, reps = _coord_span(vectors)
     return reps
 
 
-def _primitive_idempotents(core: StructureAlgebra, block_idem: tuple) -> list:
+def _primitive_idempotents(core: StructureAlgebra, block_idem: dict) -> list:
     """Split a central idempotent of a semisimple algebra into primitive
     orthogonal idempotents, by spectral splitting of corner elements."""
     draws = _OwedDraws()
@@ -705,10 +689,9 @@ def _primitive_idempotents(core: StructureAlgebra, block_idem: tuple) -> list:
                 "no rational splitting element found in a matrix block; "
                 "the block may be a division algebra over QQ"
             )
-        f = split
-        stack.append(f)
-        stack.append(_vec_sub(e, f))
-    return sorted(finished)
+        stack.append(split)
+        stack.append(_pair_sum(((1, e.items()), (-1, split.items()))))
+    return _sorted(finished, core.dim)
 
 
 _RANDOM_CANDIDATES = 24
@@ -753,7 +736,8 @@ def _try_split(core, e, corner, draws: _OwedDraws):
             draws.owe(core.dim, len(corner))
             return f
     for coeffs in draws.block(core.dim, len(corner)):
-        u = tuple(sum(r * v[k] for r, v in zip(row, corner)) for k, row in enumerate(coeffs))
+        u = {k: c for k, row in enumerate(coeffs)
+             if (c := sum(r * v.get(k, 0) for r, v in zip(row, corner)))}
         f = _split_off(core, e, u)
         if f is not None:
             return f
@@ -768,7 +752,7 @@ def _split_off(core, e, u):
     return None
 
 
-def _matrix_units(core: StructureAlgebra, prims: Sequence[tuple], rad_span: EchelonBasis) -> dict:
+def _matrix_units(core: StructureAlgebra, prims: Sequence[dict], rad_span: EchelonBasis) -> dict:
     """Matrix units e_ab of one split block from its primitive idempotents.
 
     For t > 0, x = f0*b_i*ft is taken at the first basis vector b_i whose
@@ -785,23 +769,18 @@ def _matrix_units(core: StructureAlgebra, prims: Sequence[tuple], rad_span: Eche
         x = None
         for i in range(core.dim):
             candidate = core.mul(f0, core.mul(core.basis_vector(i), ft))
-            if not rad_span.contains(_vec_to_dict(candidate)):
+            if not rad_span.contains(candidate):
                 x = candidate
                 break
         if x is None:
             raise InternalCheckError("primitive idempotents of one block do not connect")
-        y_space = []
-        for i in range(core.dim):
-            candidate = core.mul(ft, core.mul(core.basis_vector(i), f0))
-            if not _vec_is_zero(candidate):
-                y_space.append(candidate)
-        _, y_reps = _coord_span(y_space)
-        sol = EchelonBasis.solve(
-            [_vec_to_dict(core.mul(x, yr)) for yr in y_reps], _vec_to_dict(f0)
+        _, y_reps = _coord_span(
+            [core.mul(ft, core.mul(core.basis_vector(i), f0)) for i in range(core.dim)]
         )
+        sol = EchelonBasis.solve([core.mul(x, yr) for yr in y_reps], f0)
         if sol is None:
             raise InternalCheckError("matrix-unit equation x*y = e has no solution")
-        y = _integral(_lincomb(sol, y_reps, core.dim))
+        y = _integral(_pair_sum((c, yr.items()) for c, yr in zip(sol, y_reps) if c))
         if core.mul(y, x) != ft:
             raise InternalCheckError("matrix-unit pair fails y*x = f")
         firsts[t] = x
@@ -810,10 +789,9 @@ def _matrix_units(core: StructureAlgebra, prims: Sequence[tuple], rad_span: Eche
     for a in range(k):
         if units[(a, a)] != prims[a]:
             raise InternalCheckError("diagonal matrix unit differs from its idempotent")
-    zero = (0,) * core.dim
     for (a, b), u in units.items():
         for (c, d), v in units.items():
-            if core.mul(u, v) != (units[(a, d)] if b == c else zero):
+            if core.mul(u, v) != (units[(a, d)] if b == c else {}):
                 raise InternalCheckError("matrix units break the relations")
     return units
 
@@ -837,14 +815,14 @@ class WedderburnData:
     block_units_coords: tuple = field(repr=False)  # per block: dict (a,b) -> coords
 
 
-def _newton_idempotent(core: StructureAlgebra, u: tuple, max_iter: int) -> tuple:
+def _newton_idempotent(core: StructureAlgebra, u: dict, max_iter: int) -> dict:
     u = _integral(u)
     for _ in range(max_iter):
         uu = core.mul(u, u)
         if uu == u:
             return u
         # u <- 3u^2 - 2u^3
-        u = _integral(_vec_sub(_vec_scale(uu, 3), _vec_scale(core.mul(uu, u), 2)))
+        u = _integral(_pair_sum(((3, uu.items()), (-2, core.mul(uu, u).items()))))
     uu = core.mul(u, u)
     if uu != u:
         raise InternalCheckError("idempotent lifting did not become stationary")
@@ -875,63 +853,64 @@ def wedderburn_complement(algebra: FiniteDimAlgebra) -> WedderburnData:
     block_units = []
     idempotent_vectors = []  # one per block: the sum of its lifted idempotents
     lifted_prims = []
-    running = (0,) * core.dim
-    one = core.unit
+    running = {}
+    one = core.unit.items()
     for prims_bar in blocks_bar:
         prims = []
-        block_idem = (0,) * core.dim
         for p_bar in prims_bar:
-            shield = _vec_sub(one, running)
+            shield = _pair_sum(((1, one), (-1, running.items())))
             u = core.mul(shield, core.mul(section(p_bar), shield))
             f = _newton_idempotent(core, u, max_iter)
             if project(f) != p_bar:
                 raise InternalCheckError("lifted idempotent has the wrong image")
             for g in lifted_prims:
-                if not _vec_is_zero(core.mul(f, g)) or not _vec_is_zero(core.mul(g, f)):
+                if core.mul(f, g) or core.mul(g, f):
                     raise InternalCheckError("lifted idempotents are not orthogonal")
             lifted_prims.append(f)
             prims.append(f)
-            block_idem = _vec_add(block_idem, f)
-            running = _vec_add(running, f)
+            running = _pair_sum(((1, running.items()), (1, f.items())))
         block_units.append(_matrix_units(core, prims, rad_span))
-        idempotent_vectors.append(block_idem)
+        idempotent_vectors.append(_pair_sum((1, f.items()) for f in prims))
     if running != core.unit:
         raise InternalCheckError("lifted idempotents do not sum to the identity")
 
+    dim = core.dim
     complement_vectors = [u for units in block_units for u in units.values()]
-    comp_span, comp_reps = _coord_span(sorted(complement_vectors))
+    comp_span, comp_reps = _coord_span(_sorted(complement_vectors, dim))
     if len(comp_reps) != bar.dim:
         raise InternalCheckError("complement dimension differs from the quotient dimension")
     for u in comp_reps:
         for v in comp_reps:
-            if not comp_span.contains(_vec_to_dict(core.mul(u, v))):
+            if not comp_span.contains(core.mul(u, v)):
                 raise InternalCheckError("complement is not closed under multiplication")
-    if not comp_span.contains(_vec_to_dict(core.unit)):
+    if not comp_span.contains(core.unit):
         raise InternalCheckError("complement does not contain the identity")
-    combined, _ = _coord_span(list(comp_reps) + list(rad_reps))
-    if combined.dimension != core.dim:
+    combined, _ = _coord_span(comp_reps + rad_reps)
+    if combined.dimension != dim:
         raise InternalCheckError("complement plus radical do not fill the algebra")
 
     for i, e in enumerate(idempotent_vectors):
         for j, f in enumerate(idempotent_vectors):
-            product = core.mul(e, f)
-            expected = e if i == j else (0,) * core.dim
-            if product != expected:
+            if core.mul(e, f) != (e if i == j else {}):
                 raise InternalCheckError("block idempotents are not orthogonal idempotents")
         for u in comp_reps:
             if core.mul(e, u) != core.mul(u, e):
                 raise InternalCheckError("a block idempotent is not central in the complement")
 
+    rad_coords = tuple(_dense(v, dim) for v in rad_reps)
+    comp_coords = tuple(_dense(v, dim) for v in comp_reps)
+    idem_coords = tuple(_dense(v, dim) for v in idempotent_vectors)
     return WedderburnData(
         algebra=algebra,
-        radical_basis=tuple(algebra.from_coords(v) for v in rad_reps),
+        radical_basis=tuple(map(algebra.from_coords, rad_coords)),
         nilpotence_degree=degree,
-        complement_basis=tuple(algebra.from_coords(v) for v in comp_reps),
-        idempotents=tuple(algebra.from_coords(v) for v in idempotent_vectors),
-        radical_coords=tuple(rad_reps),
-        complement_coords=tuple(comp_reps),
-        idempotent_coords=tuple(idempotent_vectors),
-        block_units_coords=tuple(block_units),
+        complement_basis=tuple(map(algebra.from_coords, comp_coords)),
+        idempotents=tuple(map(algebra.from_coords, idem_coords)),
+        radical_coords=rad_coords,
+        complement_coords=comp_coords,
+        idempotent_coords=idem_coords,
+        block_units_coords=tuple({pos: _dense(u, dim) for pos, u in units.items()}
+                                 for units in block_units),
     )
 
 
@@ -941,15 +920,14 @@ def wedderburn_complement(algebra: FiniteDimAlgebra) -> WedderburnData:
 
 def radical(algebra: FiniteDimAlgebra) -> tuple:
     """Radical basis as matrices (canonical order)."""
-    return tuple(algebra.from_coords(v) for v in radical_coords(algebra.core))
+    return tuple(algebra.from_coords(_dense(v, algebra.dim))
+                 for v in radical_coords(algebra.core))
 
 
 def nilpotence_degree(algebra: FiniteDimAlgebra, rad_matrices: Sequence[Matrix]) -> int:
-    coords = [tuple(algebra.coords_of(m)) for m in rad_matrices]
-    rational = []
-    for vec in coords:
-        rational.append(tuple(_require_rational(c) for c in vec))
-    return nilpotence_degree_coords(algebra.core, rational)
+    rad = [{i: _require_rational(c) for i, c in enumerate(algebra.coords_of(m)) if c}
+           for m in rad_matrices]
+    return nilpotence_degree_coords(algebra.core, rad)
 
 
 def _require_rational(value):
@@ -963,36 +941,29 @@ def _require_rational(value):
 def central_primitive_idempotents(algebra: FiniteDimAlgebra) -> list:
     """Central primitive idempotents of a semisimple algebra, as matrices."""
     coords = central_primitive_idempotents_coords(algebra.core)
-    return [algebra.from_coords(v) for v in coords]
+    return [algebra.from_coords(_dense(v, algebra.dim)) for v in coords]
 
 
 def decompose_element(
     algebra: FiniteDimAlgebra, data: WedderburnData, mat: Matrix
 ) -> tuple:
-    """Split a matrix of the algebra as (complement part, radical part)."""
-    coords = algebra.coords_of(mat)
+    """Split a matrix of the algebra as (complement part, radical part).
+
+    The parts are summed from the data's complement and radical matrices,
+    on the coefficients that solve for ``mat``'s coordinates."""
     ring = algebra.ring
-    if isinstance(ring, RatFuncField):
-        one = ring.one
+    field = isinstance(ring, RatFuncField)
 
-        def lift(vec):
-            return {(i,): ring.coerce(c) for i, c in enumerate(vec) if c}
-    else:
-        one = QQ(1)
+    def lift(vec) -> dict:
+        return {i: ring.coerce(c) if field else c for i, c in enumerate(vec) if c}
 
-        def lift(vec):
-            return _vec_to_dict(vec)
-
-    columns = [lift(v) for v in data.complement_coords] + [
-        lift(v) for v in data.radical_coords
-    ]
-    target = {(i,): c for i, c in enumerate(coords) if c}
-    sol = EchelonBasis.solve(columns, target, one)
+    columns = [lift(v) for v in data.complement_coords + data.radical_coords]
+    sol = EchelonBasis.solve(columns, lift(algebra.coords_of(mat)), ring.one if field else QQ(1))
     if sol is None:
         raise InternalCheckError("decomposition solve failed inside the algebra")
     ncomp = len(data.complement_coords)
-    bar = algebra.from_coords(_lincomb(sol[:ncomp], data.complement_coords, algebra.dim))
-    nil = algebra.from_coords(_lincomb(sol[ncomp:], data.radical_coords, algebra.dim))
+    bar = _combine(ring, algebra.size, sol[:ncomp], data.complement_basis)
+    nil = _combine(ring, algebra.size, sol[ncomp:], data.radical_basis)
     if bar + nil != mat:
         raise InternalCheckError("decomposition parts do not sum back to the element")
     return bar, nil

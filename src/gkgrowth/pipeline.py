@@ -209,9 +209,8 @@ def _q_kernel_matrices(candidates: Sequence[Matrix], constraints) -> list:
     combos = []
     for coeffs in kernel:
         total = Matrix.zeros(candidates[0].ring, candidates[0].nrows, candidates[0].ncols)
-        for c, mat in zip(coeffs, candidates):
-            if c:
-                total = total + mat.scale(c)
+        for (idx,), c in coeffs.items():
+            total = total + candidates[idx].scale(c)
         combos.append(total)
     return combos
 

@@ -280,21 +280,20 @@ class EchelonBasis:
         The rows are read as a matrix whose columns are ``keys``, in
         increasing order.  Each free (non-pivot) key f gives one vector:
         1 at f and minus the f-entry of each row at that row's pivot key.
-        Vectors are tuples ordered like ``keys``; each is checked to be
-        annihilated by every row.
+        Vectors are sparse dicts over ``keys``, in the order of their free
+        keys; each is checked to be annihilated by every row.
         """
         zero = one - one
         rows = self.pivot_rows()
-        position = {k: i for i, k in enumerate(keys)}
-        free = {f: [one if k == f else zero for k in keys] for f in keys if f not in rows}
+        free = {f: {f: one} for f in keys if f not in rows}
         for lead, row in rows.items():
             for k, c in row.items():  # a reduced row's other keys are free
                 if k != lead:
-                    free[k][position[lead]] = -c
-        out = [tuple(vec) for vec in free.values()]
+                    free[k][lead] = -c
+        out = list(free.values())
         for vec in out:
             for row in rows.values():
-                if sum((c * vec[position[k]] for k, c in row.items()), zero):
+                if sum((c * vec.get(k, zero) for k, c in row.items()), zero):
                     raise InternalCheckError("kernel vector is not annihilated by a row")
         return out
 

@@ -13,6 +13,7 @@ from gkgrowth.errors import InternalCheckError, NonStabilizingError, NotSplitOve
 from gkgrowth.fdalg import (
     StructureAlgebra,
     _center_coords,
+    _coord_span,
     _integral,
     _radical,
     _spectral_idempotents,
@@ -46,6 +47,16 @@ def upper_triangular_pres(d):
     return AlgebraPresentation(Q, d, gens, f"upper{d}")
 
 
+def dense(u, dim):
+    """A sparse coordinate vector as the tuple of its dim values."""
+    return tuple(u.get(k, 0) for k in range(dim))
+
+
+def sparse(coords):
+    """A coordinate sequence as the module's vectors: {index: value}, no zeros."""
+    return {k: c for k, c in enumerate(coords) if c}
+
+
 def matrix_span(mats):
     basis = EchelonBasis()
     for m in mats:
@@ -61,7 +72,8 @@ def brute_force_radical(algebra):
     the sum equals the radical (it is always contained in it).
     """
     core = algebra.core
-    probes = [core.basis_vector(i) for i in range(core.dim)]
+    n = core.dim
+    probes = [dense(core.basis_vector(i), n) for i in range(n)]
     probes += [
         tuple(a + b for a, b in zip(u, v)) for u in probes for v in probes
     ]
@@ -69,15 +81,13 @@ def brute_force_radical(algebra):
         tuple(a - b for a, b in zip(u, v)) for u in probes for v in probes
     ]
     collected = []
-    for z in probes:
-        if not any(z):
+    for z in map(sparse, probes):
+        if not z:
             continue
         # Two-sided ideal generated by z.
         ideal = [core.mul(core.basis_vector(i), core.mul(z, core.basis_vector(j)))
-                 for i in range(core.dim) for j in range(core.dim)]
+                 for i in range(n) for j in range(n)]
         ideal.append(z)
-        from gkgrowth.fdalg import _coord_span
-
         _, reps = _coord_span(ideal)
         # Nilpotency of the ideal span.
         current = reps
@@ -91,10 +101,8 @@ def brute_force_radical(algebra):
             )
         if nilpotent:
             collected.extend(reps)
-    from gkgrowth.fdalg import _coord_span
-
     _, reps = _coord_span(collected)
-    return [algebra.from_coords(v) for v in reps]
+    return [algebra.from_coords(dense(v, n)) for v in reps]
 
 
 def test_close_to_fdalg_examples():
@@ -334,7 +342,9 @@ def test_dickson_trace_form_equals_brute_force_gram(algebra):
          for j in range(n)]
         for i in range(n)
     ]
-    assert _trace_form(core) == brute
+    gram = _trace_form(core)
+    assert all(all(row.values()) for row in gram)
+    assert [list(dense(row, n)) for row in gram] == brute
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
@@ -345,7 +355,7 @@ def test_pivot_read_coordinates_reconstruct_every_product(algebra):
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):
             assert algebra.from_coords(table[i][j]) == bi * bj
-    assert algebra.from_coords(core.unit) == algebra.presentation.identity
+    assert algebra.from_coords(dense(core.unit, core.dim)) == algebra.presentation.identity
 
 
 @functools.lru_cache(maxsize=None)
@@ -426,7 +436,7 @@ def test_spectral_idempotents_match_a_sympy_oracle(kind, blocks, moves):
     e_mat = conj * Matrix.diagonal(Q, [1] * size + [0] * (k - size)) * inv
     algebra = closed_matrix_algebra(k, upper)
     core = algebra.core
-    u, unit = tuple(algebra.coords_of(u_mat)), tuple(algebra.coords_of(e_mat))
+    u, unit = sparse(algebra.coords_of(u_mat)), sparse(algebra.coords_of(e_mat))
     mu = core.min_poly(u, unit=unit)
     pieces = list(_spectral_idempotents(core, u, unit, mu))
 
@@ -438,7 +448,7 @@ def test_spectral_idempotents_match_a_sympy_oracle(kind, blocks, moves):
     assert len(pieces) == len(roots)
     total = zero
     for f, (r, m) in zip(pieces, roots):
-        big_f = to_sympy(algebra.from_coords(f))
+        big_f = to_sympy(algebra.from_coords(dense(f, algebra.dim)))
         power = sympy.Poly((t - r) ** m, t)
         cofactor = sympy.quo(mu_s, power)
         _, y, g = sympy.gcdex(power, cofactor)
@@ -823,7 +833,8 @@ def dense_center(dim, table):
         for k in range(dim):
             row = [table[i][j][k] - table[j][i][k] for i in range(dim)]
             basis.insert({(i,): c for i, c in enumerate(row) if c})
-    return basis.kernel([(i,) for i in range(dim)])
+    return [tuple(v.get((i,), QQ(0)) for i in range(dim))
+            for v in basis.kernel([(i,) for i in range(dim)])]
 
 
 SCALARS = st.one_of(st.just(QQ(0)), st.integers(-3, 3).map(QQ),
@@ -832,20 +843,35 @@ SCALARS = st.one_of(st.just(QQ(0)), st.integers(-3, 3).map(QQ),
 
 @st.composite
 def random_tables(draw):
-    """(dim, dense QQ table, two vectors, a unit vector, coefficients)."""
+    """(dim, dense QQ table, two vectors, a unit vector, coefficients).
+
+    For about half the tables, row i2 is minus row i1 and u has equal
+    values at i1 and i2, so the terms of u*v through i1 and i2 cancel:
+    coordinates that sum to zero, and zero products at dim 2.
+    """
     dim = draw(st.integers(1, 4))
-    vec = st.lists(SCALARS, min_size=dim, max_size=dim).map(tuple)
-    table = tuple(tuple(draw(vec) for _ in range(dim)) for _ in range(dim))
-    return dim, table, draw(vec), draw(vec), draw(vec), draw(st.lists(SCALARS, max_size=4))
+    vec = st.lists(SCALARS, min_size=dim, max_size=dim)
+    table = [[tuple(draw(vec)) for _ in range(dim)] for _ in range(dim)]
+    u = draw(vec)
+    if dim > 1 and draw(st.booleans()):
+        i1, i2 = draw(st.permutations(range(dim)))[:2]
+        table[i2] = [tuple(-c for c in entry) for entry in table[i1]]
+        u[i2] = u[i1]
+    table = tuple(map(tuple, table))
+    return (dim, table, tuple(u), tuple(draw(vec)), tuple(draw(vec)),
+            draw(st.lists(SCALARS, max_size=4)))
+
+
+def integral(c):
+    return c.numerator if c.denominator == 1 else c
 
 
 def sparse_core(dim, table, unit):
     """The same table as (k, c) pairs, integral values as int."""
-    pairs = tuple(tuple(tuple((k, c.numerator if c.denominator == 1 else c)
-                              for k, c in enumerate(entry) if c) for entry in row)
+    pairs = tuple(tuple(tuple((k, integral(c)) for k, c in enumerate(entry) if c)
+                        for entry in row)
                   for row in table)
-    return StructureAlgebra(dim, pairs, tuple(c.numerator if c.denominator == 1 else c
-                                              for c in unit))
+    return StructureAlgebra(dim, pairs, {k: integral(c) for k, c in enumerate(unit) if c})
 
 
 def outcome(call):
@@ -855,19 +881,29 @@ def outcome(call):
         return type(exc)
 
 
+Z, ONE = QQ(0), QQ(1)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(random_tables())
+@example(case=(2, (((ONE, Z), (Z, ONE)), ((-ONE, Z), (Z, -ONE))),
+               (ONE, ONE), (ONE, Z), (ONE, Z), [ONE, ONE]))  # u*v = 0
 def test_sparse_core_matches_a_dense_reference(case):
-    # Random tables, integral or not, are neither associative nor unital:
-    # the operations must still agree value for value with the dense loops.
+    # Random tables, with int and QQ constants, are neither associative nor
+    # unital: the sparse operations must still agree value for value with
+    # the dense loops, and hold no zero value, since the structure theory
+    # compares vectors as dicts (uu == u, project(f) != p_bar, ...).
     dim, table, u, v, unit, coeffs = case
     core = sparse_core(dim, table, unit)
-    assert core.mul(u, v) == dense_mul(dim, table, u, v)
-    assert core.evaluate(coeffs, u) == dense_evaluate(dim, table, coeffs, u, unit)
-    assert outcome(lambda: core.min_poly(u).uni_coeffs()) == outcome(
+    product, value = core.mul(sparse(u), sparse(v)), core.evaluate(coeffs, sparse(u))
+    assert dense(product, dim) == dense_mul(dim, table, u, v)
+    assert dense(value, dim) == dense_evaluate(dim, table, coeffs, u, unit)
+    assert outcome(lambda: core.min_poly(sparse(u)).uni_coeffs()) == outcome(
         lambda: dense_min_poly(dim, table, u, unit))
-    assert _trace_form(core) == dense_trace_form(dim, table)
-    assert _center_coords(core) == dense_center(dim, table)
+    gram, center = _trace_form(core), _center_coords(core)
+    assert [list(dense(row, dim)) for row in gram] == dense_trace_form(dim, table)
+    assert [dense(z, dim) for z in center] == dense_center(dim, table)
+    assert all(all(w.values()) for w in (product, value, *gram, *center))
 
 
 P_CONJ = Matrix(Q, [[1, 2, 0], [3, 4, 1], [0, 1, 5]])  # det -11
@@ -922,9 +958,40 @@ def test_integer_algebras_stay_on_int_arithmetic(label):
     data = wedderburn_complement(algebra)
     constants = [c for row in algebra.core.table for pairs in row for _, c in pairs]
     assert constants and all(type(c) is int for c in constants)
-    vectors = [algebra.core.unit, *data.idempotent_coords,
+    vectors = [algebra.core.unit.values(), *data.idempotent_coords,
                *(v for units in data.block_units_coords for v in units.values())]
     assert all(type(c) is int for v in vectors for c in v)
+
+
+def test_vectors_hold_no_zero_inside_and_leave_dense_with_int_values(monkeypatch):
+    # Inside the module a vector is a dict without zero values, since the
+    # structure theory compares vectors as dicts; every vector it returns is
+    # a tuple of dim values, each integral value an int.
+    seen = []
+
+    def spy(function):
+        def wrapped(*args):
+            out = function(*args)
+            seen.extend(a for a in args if isinstance(a, dict))
+            seen.append(out)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(StructureAlgebra, "mul", spy(StructureAlgebra.mul))
+    for name in ("_pair_sum", "_integral", "_newton_idempotent"):
+        monkeypatch.setattr(fdalg, name, spy(getattr(fdalg, name)))
+    cases = dict(pinned_structure_cases())
+    cases["P UT_3"] = AlgebraPresentation(
+        Q, 3, [P_CONJ * g * P_INV for g in upper_triangular_pres(3).generators])
+    for label, pres in cases.items():
+        seen.clear()
+        algebra = close_to_fdalg(pres)
+        data = wedderburn_complement(algebra)
+        assert len(seen) > algebra.dim and all(all(u.values()) for u in seen), label
+        returned = [*data.radical_coords, *data.complement_coords, *data.idempotent_coords,
+                    *(v for units in data.block_units_coords for v in units.values())]
+        assert all(type(v) is tuple and len(v) == algebra.dim for v in returned), label
+        assert all(type(c) is int for v in returned for c in v if c.denominator == 1), label
 
 
 def m2_quaternion_pres(a, b):
@@ -946,8 +1013,9 @@ def eager_try_split(core, e, corner, draws):
     rng = draws.rng
     blocks = [[[rng.randint(-3, 3) for _ in corner] for _ in range(core.dim)]
               for _ in range(24)]
-    randoms = (tuple(sum((QQ(r) * v[k] for r, v in zip(row, corner)), QQ(0))
-                     for k, row in enumerate(coeffs)) for coeffs in blocks)
+    randoms = ({k: c for k, row in enumerate(coeffs)
+                if (c := sum((QQ(r) * v.get(k, 0) for r, v in zip(row, corner)), QQ(0)))}
+               for coeffs in blocks)
     for u in itertools.chain(corner, randoms):
         mu = core.min_poly(u, unit=e)
         for f in _spectral_idempotents(core, u, e, mu):
@@ -1000,7 +1068,7 @@ def typed_core(core):
     return (core.dim,
             tuple(tuple(tuple((k, typed(c)) for k, c in pairs) for pairs in row)
                   for row in core.table),
-            tuple(typed(c) for c in core.unit))
+            tuple((k, typed(c)) for k, c in sorted(core.unit.items())))
 
 
 def reference_core(algebra):
@@ -1010,12 +1078,12 @@ def reference_core(algebra):
     cols = [matrix_to_vec(b) for b in algebra.basis]
 
     def pairs(sol):
-        return tuple((k, c) for k, c in enumerate(_integral(sol)) if c)
+        return tuple(_integral(sparse(sol)).items())
 
     table = tuple(tuple(pairs(EchelonBasis.solve(cols, vec_matrix_product(a, b))) for b in cols)
                   for a in cols)
     unit = EchelonBasis.solve(cols, matrix_to_vec(algebra.presentation.identity))
-    return StructureAlgebra(len(cols), table, _integral(unit))
+    return StructureAlgebra(len(cols), table, _integral(sparse(unit)))
 
 
 @st.composite
@@ -1104,14 +1172,14 @@ def refine_every_pair(core):
             assert len(pieces) == mu.degree()
             refined.extend(pieces)
         idems = refined
-    return sorted(idems), pairs, scalar_pairs
+    return sorted(idems, key=lambda u: dense(u, core.dim)), pairs, scalar_pairs
 
 
 def rebuilt_quotient(core):
     """The quotient by the zero ideal rebuilt product by product."""
     lifts = [core.basis_vector(i) for i in range(core.dim)]
-    table = tuple(tuple(tuple((k, c) for k, c in enumerate(_integral(core.mul(a, b))) if c)
-                        for b in lifts) for a in lifts)
+    table = tuple(tuple(tuple(sorted(_integral(core.mul(a, b)).items())) for b in lifts)
+                  for a in lifts)
     return StructureAlgebra(core.dim, table, _integral(core.unit))
 
 
@@ -1179,11 +1247,11 @@ def test_ideal_check_rejects_one_sided_ideals(k):
     # The first column of M_k is a left ideal and its first row a right ideal;
     # the check reads z*b_i and b_i*z from the table and must reject both.
     algebra = closed_matrix_algebra(k, False)
-    column = [tuple(algebra.coords_of(e(i, 0, k))) for i in range(k)]
-    row = [tuple(algebra.coords_of(e(0, j, k))) for j in range(k)]
+    column = [sparse(algebra.coords_of(e(i, 0, k))) for i in range(k)]
+    row = [sparse(algebra.coords_of(e(0, j, k))) for j in range(k)]
     for one_sided in (column, row):
         with pytest.raises(InternalCheckError, match="two-sided"):
             fdalg._verify_radical(algebra.core, one_sided)
     upper = closed_matrix_algebra(k, True)
-    strict = [tuple(upper.coords_of(e(i, j, k))) for i in range(k) for j in range(i + 1, k)]
+    strict = [sparse(upper.coords_of(e(i, j, k))) for i in range(k) for j in range(i + 1, k)]
     assert fdalg._verify_radical(upper.core, strict) == k

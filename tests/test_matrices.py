@@ -64,7 +64,8 @@ def test_boundary_matrices_hold_ring_elements_only(pres):
     dim = algebra.dim
     built += [algebra.from_coords(tuple(1 if k == i else 0 for k in range(dim)))
               for i in range(dim)]
-    built += [algebra.from_coords(algebra.core.unit), algebra.from_coords((0,) * dim)]
+    unit = tuple(algebra.core.unit.get(k, 0) for k in range(dim))
+    built += [algebra.from_coords(unit), algebra.from_coords((0,) * dim)]
     for g in pres.generators:
         built += decompose_element(algebra, data, g)
     built += [*data.radical_basis, *data.complement_basis, *data.idempotents]

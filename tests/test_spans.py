@@ -217,8 +217,10 @@ def test_kernel_agrees_with_sympy_nullspace(rows):
     basis = EchelonBasis()
     for row in rows:
         basis.insert(vec(*enumerate(row)))
-    expected = [tuple(from_sympy(v) for v in col) for col in sympy.Matrix(rows).nullspace()]
-    assert basis.kernel([(k,) for k in range(ncols)]) == expected
+    expected = [{(k,): from_sympy(v) for k, v in enumerate(col) if v}
+                for col in sympy.Matrix(rows).nullspace()]
+    kernel = basis.kernel([(k,) for k in range(ncols)])
+    assert kernel == expected and all(all(vec.values()) for vec in kernel)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -455,8 +457,9 @@ class EagerEchelonBasis:
         out = []
         for free in keys:
             if free not in self.pivot_rows:
-                out.append(tuple(QQ(1) if k == free else -QQ(self.pivot_rows[k].get(free, 0))
-                                 if k in self.pivot_rows else QQ(0) for k in keys))
+                dense = [QQ(1) if k == free else -QQ(self.pivot_rows[k].get(free, 0))
+                         if k in self.pivot_rows else QQ(0) for k in keys]
+                out.append({k: c for k, c in zip(keys, dense) if c})
         return out
 
     @classmethod

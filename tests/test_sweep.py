@@ -131,6 +131,7 @@ def test_a_growth_subset_sweeps_to_the_same_sorted_lines_twice(deadline):
 STRUCTURE_SUBSET = (
     "structure M2(dual) seed 0",
     "structure H(-1,-1)",
+    "structure QQ[x] <E11,xE12,x2E23> seed 1",
 )
 
 
@@ -140,7 +141,8 @@ def test_structure_cases_cover_every_kind():
     names = [name for name, _ in cases]
     assert len(names) == len(set(names))
     assert set(STRUCTURE_SUBSET) <= set(names)
-    assert {spec[0] for _, spec in cases} == {"M", "UT", "diag", "M2(dual)", "H", "ut2-x"}
+    assert {spec[0] for _, spec in cases} == {"M", "UT", "diag", "M2(dual)", "H", "ut2-x",
+                                              "QQ[x]"}
 
 
 def test_a_structure_subset_sweeps_to_the_same_sorted_lines_twice(deadline):
@@ -159,3 +161,7 @@ def test_a_structure_subset_sweeps_to_the_same_sorted_lines_twice(deadline):
     quaternions = texts["structure H(-1,-1)"]
     assert quaternions[0] == "dim int 4"
     assert quaternions[-1].startswith("raised NotSplitOverBaseError: ")
+    # <E11, x E12, x^2 E23> over QQ[x] closes up to dim 5 with a radical of degree 3.
+    polynomial = texts["structure QQ[x] <E11,xE12,x2E23> seed 1"]
+    assert polynomial[0] == "dim int 5" and "nilpotence_degree int 3" in polynomial
+    assert polynomial[-1].startswith("generator 2 radical: ")

@@ -21,7 +21,8 @@ and QQ[x,y], every level's snapshot rows, each value with its type.  A
 fourth list, ``structure_cases()``, runs ``close_to_fdalg``,
 ``wedderburn_complement`` and ``decompose_element`` on seeded conjugates
 of M_k and UT_k, diag(1..6), M_2 over the dual numbers, quaternion
-algebras H(a,b) and ut2-x over QQ(x), and writes the core's dimension and
+algebras H(a,b), ut2-x over QQ(x) and seeded conjugates of three
+algebras over QQ[x] whose spans close up, and writes the core's dimension and
 structure constants, the ``WedderburnData`` coordinates and each
 generator's parts, each value with its type, up to the exception that
 stops it.  The in-process lists use only the package's public names, so
@@ -225,12 +226,23 @@ def growth_text(spec: tuple) -> str:
 
 # Structure cases: (kind, parameter, seed) of each presentation; the seed,
 # when there is one, picks a change of basis and a generator order.
+# Over QQ[x] the parameter names the generators (1-based E_ij); each entry
+# is (size, generators), a generator the sum of x^d E_ij over its (i, j, d),
+# 0-based.  Every power of x sits on a nilpotent part, so each span closes
+# up: dimensions 3, 5 and 7.
+X_STRUCTURES = {
+    "E11,xE12": (2, ((0, 0, 0),), ((0, 1, 1),)),
+    "E11,xE12,x2E23": (3, ((0, 0, 0),), ((0, 1, 1),), ((1, 2, 2),)),
+    "E11+E33,x(E12+E34),xE23": (4, ((0, 0, 0), (2, 2, 0)), ((0, 1, 1), (2, 3, 1)),
+                                ((1, 2, 1),)),
+}
 STRUCTURE_CASES = (
     tuple(("M", k, seed) for k in (2, 3, 4) for seed in range(3))
     + tuple(("UT", k, seed) for k in (2, 3, 4, 5) for seed in range(3))
     + (("diag", 6, 0), ("M2(dual)", 2, 0))
     + tuple(("H", ab, None) for ab in ((-2, 3), (2, 7), (-7, 2), (-1, -1)))
     + (("ut2-x", 2, None),)
+    + tuple(("QQ[x]", gens, seed) for gens in X_STRUCTURES for seed in range(3))
 )
 
 
@@ -244,6 +256,8 @@ def structure_cases() -> list:
             name = f"diag(1..{param})"
         elif kind == "H":
             name = "H({},{})".format(*param)
+        elif kind == "QQ[x]":
+            name = f"QQ[x] <{param}>"
         else:
             name = kind
         out.append((f"structure {name}" + ("" if seed is None else f" seed {seed}"),
@@ -271,6 +285,13 @@ def _structure_presentation(gk, kind: str, param, seed):
         gens = [gk.Matrix.diagonal(ring, [ring.gen(), ring.zero]),
                 gk.Matrix.elementary(ring, 2, 0, 1)]
         return gk.AlgebraPresentation(ring, 2, gens, kind)
+    if kind == "QQ[x]":
+        ring = gk.PolyRing(("x",))
+        size, *terms = X_STRUCTURES[param]
+        x = ring.gen(0)
+        gens = [sum((gk.Matrix.elementary(ring, size, i, j, x ** d) for i, j, d in gen),
+                    gk.Matrix.zeros(ring, size, size)) for gen in terms]
+        return gk.AlgebraPresentation(ring, size, _conjugated(gk, ring, size, gens, seed), kind)
     ring = gk.RationalField()
     if kind == "H":
         # The left regular representation of i and j on 1, i, j, ij.
